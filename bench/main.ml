@@ -1066,17 +1066,8 @@ let perf () =
         (Staged.stage (fun () -> ignore (Staticcheck.Repair.plan qb)));
       Test.make ~name:"fence/plan/peterson"
         (Staged.stage (fun () -> ignore (Staticcheck.Repair.plan pet)));
-      (* the knob-driven variant machine against the legacy enum path:
-         variants/simulate-wo is the same lattice point as
-         simulate/queue100 (WO), dispatched through the per-knob issue
-         rules instead of the hand-written model cases — the pair bounds
-         the refactor's overhead.  The other rows exercise knobs with no
-         enum equivalent (bounded buffers, stall-on-conflict reads) *)
-      Test.make ~name:"variants/simulate-wo/queue100"
-        (Staged.stage (fun () ->
-             ignore
-               (run_weak ~model:(Memsim.Model.Custom Memsim.Variant.wo) ~seed:3
-                  (Minilang.Programs.queue_bug ~region:100 ()))));
+      (* knobs no named model sets (bounded buffers, stall-on-conflict
+         reads), against simulate/queue100 (WO) *)
       Test.make ~name:"variants/simulate-bounded2/queue100"
         (Staged.stage (fun () ->
              ignore
@@ -1153,9 +1144,6 @@ let perf () =
        ns_of "races-vclock/rand-8x100" /. ns_of "races-epoch/rand-8x100");
       ("races_vclock_over_epoch/rand-8x400",
        ns_of "races-vclock/rand-8x400" /. ns_of "races-epoch/rand-8x400");
-      (* >1 means the knob-driven dispatch costs more than the enum path *)
-      ("variant_knobs_over_enum/queue100",
-       ns_of "variants/simulate-wo/queue100" /. ns_of "simulate/queue100");
     ]
   in
   Format.printf "@.closure-vs-vclock (hb1 index; >1 means the vclock path wins):@.";
@@ -1501,7 +1489,8 @@ let perf () =
           let witness_steps, ok =
             match (r.RC.verdict, expect) with
             | RC.Not_robust w, `Not_robust ->
-              (Some (List.length w.RC.w_schedule), w.RC.w_verified = Ok ())
+              (Some (List.length w.Explore.Witness.schedule),
+               w.Explore.Witness.verified = Ok ())
             | RC.Robust_verdict _, `Robust -> (None, true)
             | _ -> (None, false)
           in

@@ -1380,7 +1380,7 @@ let write_witnesses dir (r : Explore.Triage.report) =
       | None -> ()
       | Some w ->
         let path = Filename.concat dir (Printf.sprintf "cand%d.trace" i) in
-        or_fail (Explore.Triage.write_witness path w);
+        or_fail (Explore.Triage.write_witness r path w);
         Format.printf "witness for candidate %d written to %s (verified by re-analysis)@."
           i path)
     r.Explore.Triage.data
@@ -1551,11 +1551,6 @@ let lint_cmd =
 
 (* -- fence ------------------------------------------------------------- *)
 
-let status_str = function
-  | Explore.Triage.Confirmed -> "CONFIRMED"
-  | Explore.Triage.Refuted -> "REFUTED"
-  | Explore.Triage.Unknown -> "UNKNOWN"
-
 let fence_json (plan : Staticcheck.Repair.t)
     (check : Explore.Repaircheck.t option) =
   let open Staticcheck.Jsonout in
@@ -1596,7 +1591,7 @@ let fence_json (plan : Staticcheck.Repair.t)
                  Obj
                    [
                      ("index", Int cc.RC.cc_index);
-                     ("before", Str (status_str cc.RC.cc_before));
+                     ("before", Str (Explore.Triage.status_name cc.RC.cc_before));
                      ( "after",
                        List
                          (List.map
@@ -1604,7 +1599,7 @@ let fence_json (plan : Staticcheck.Repair.t)
                               Obj
                                 [
                                   ("model", Str (Memsim.Model.name mv.RC.mv_model));
-                                  ("status", Str (status_str mv.RC.mv_status));
+                                  ("status", Str (Explore.Triage.status_name mv.RC.mv_status));
                                   ("schedules", Int mv.RC.mv_schedules);
                                 ])
                             cc.RC.cc_after) );
@@ -1837,12 +1832,13 @@ let robust_json (t : Explore.Robustcheck.t) =
       [ ("write", access_json h.RB.h_write); ("read", access_json h.RB.h_read) ]
   in
   let witness_json (w : RC.witness) =
+    let module W = Explore.Witness in
     Obj
       [
-        ("schedule_steps", Int (List.length w.RC.w_schedule));
-        ("operations", Int (Memsim.Exec.n_ops w.RC.w_exec));
-        ("verified", Bool (w.RC.w_verified = Ok ()));
-        ("path", match w.RC.w_path with Some p -> Str p | None -> Null);
+        ("schedule_steps", Int (List.length w.W.schedule));
+        ("operations", Int (Memsim.Exec.n_ops w.W.exec));
+        ("verified", Bool (w.W.verified = Ok ()));
+        ("path", match w.W.path with Some p -> Str p | None -> Null);
       ]
   in
   Obj

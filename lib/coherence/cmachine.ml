@@ -81,26 +81,15 @@ let flush_invals t p =
   List.iter (apply_inval t p) locs
 
 (* Which sync classes force the issuing processor's queue to flush:
-   reader-side dual of [Model.drains_on]. *)
+   reader-side dual of [Model.drains_on].  SC and TSO-like models keep
+   their queues empty (or are rejected); release/acquire-distinguishing
+   ones flush on acquires only; the rest on every sync class. *)
 let flushes_on model (cls : Memsim.Op.op_class) =
-  match cls with
-  | Memsim.Op.Data -> false
-  | Memsim.Op.Acquire | Memsim.Op.Release | Memsim.Op.Plain_sync -> (
-    match model with
-    | Memsim.Model.SC | Memsim.Model.TSO -> false (* queues never populated / rejected *)
-    | Memsim.Model.WO | Memsim.Model.DRF0 -> true
-    | Memsim.Model.RCsc | Memsim.Model.DRF1 -> cls = Memsim.Op.Acquire
-    | Memsim.Model.Custom _ ->
-      (* derive the reader-side dual from the predicates: SC/TSO-like
-         variants keep their queues empty, release/acquire-distinguishing
-         ones flush on acquires only *)
-      if
-        (not (Memsim.Model.buffers_writes model))
-        || Memsim.Model.fifo_buffer model
-      then false
-      else if Memsim.Model.distinguishes_release_acquire model then
-        cls = Memsim.Op.Acquire
-      else true)
+  Memsim.Op.is_sync cls
+  && Memsim.Model.buffers_writes model
+  && (not (Memsim.Model.fifo_buffer model))
+  && ((not (Memsim.Model.distinguishes_release_acquire model))
+     || cls = Memsim.Op.Acquire)
 
 (* -- bus ------------------------------------------------------------- *)
 

@@ -82,11 +82,6 @@ let explore ?(max_steps = 2_000) ?(limit = 500_000) ?(prefer = []) ?stop
       raise Done
     end
   in
-  let replay sched =
-    let m = Machine.create ~model (mk ()) in
-    List.iter (Machine.perform m) sched;
-    m
-  in
   let sleeping sleep d = List.exists (fun (s, _) -> s = d) sleep in
   (* Each processor contributes up to two scheduling agents: its front
      end (issues) and its store buffer (retires).  Decisions of one
@@ -208,7 +203,7 @@ let explore ?(max_steps = 2_000) ?(limit = 500_000) ?(prefer = []) ?stop
      dependent and therefore wake the sleeper — can change it). *)
   let rec explore_node path sleep depth =
     let sched = List.rev_map (fun f -> f.decision) path in
-    let m = replay sched in
+    let m = Machine.replay ~model mk sched in
     match Machine.enabled m with
     | [] -> record m
     | enabled ->
@@ -240,7 +235,7 @@ let explore ?(max_steps = 2_000) ?(limit = 500_000) ?(prefer = []) ?stop
             match todo with
             | [] -> ()
             | d :: _ ->
-              let probe = replay sched in
+              let probe = Machine.replay ~model mk sched in
               let fp = Machine.footprint probe d in
               let lfp = Machine.buffer_footprint probe d in
               race_update path d fp lfp;

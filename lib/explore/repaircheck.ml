@@ -154,11 +154,6 @@ let exit_code t =
   then 3
   else 0
 
-let status_str = function
-  | Triage.Confirmed -> "CONFIRMED"
-  | Triage.Refuted -> "REFUTED"
-  | Triage.Unknown -> "UNKNOWN"
-
 let pp ppf t =
   let p = t.plan.Repair.original in
   Format.fprintf ppf "@[<v>verify (repaired program, models %s):@,"
@@ -169,11 +164,11 @@ let pp ppf t =
     List.iter
       (fun c ->
         Format.fprintf ppf "  candidate %d [%s on the original under SC]: %a@,"
-          c.cc_index (status_str c.cc_before) (Lint.pp_pair p) c.cc_pair;
+          c.cc_index (Triage.status_name c.cc_before) (Lint.pp_pair p) c.cc_pair;
         List.iter
           (fun mv ->
             Format.fprintf ppf "    %-5s -> %s (%d schedule(s))@,"
-              (Model.name mv.mv_model) (status_str mv.mv_status)
+              (Model.name mv.mv_model) (Triage.status_name mv.mv_status)
               mv.mv_schedules)
           c.cc_after)
       t.checks;

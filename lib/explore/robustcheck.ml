@@ -2,7 +2,6 @@ module Ast = Minilang.Ast
 module Interp = Minilang.Interp
 module Exec = Memsim.Exec
 module Model = Memsim.Model
-module Variant = Memsim.Variant
 module Robust = Staticcheck.Robust
 module Absint = Staticcheck.Absint
 module Delayset = Staticcheck.Delayset
@@ -20,12 +19,7 @@ module Delayset = Staticcheck.Delayset
    3. a complete, stop-free exploration proves ROBUST dynamically; a
       budget hit or an SC pool that does not enumerate is UNKNOWN. *)
 
-type witness = {
-  w_schedule : Exec.decision list;
-  w_exec : Exec.t;
-  w_path : string option;
-  w_verified : (unit, string) result;
-}
+type witness = Witness.t
 
 type verdict =
   | Robust_verdict of [ `Static | `Dynamic ]
@@ -86,21 +80,12 @@ let run ?(max_steps = 2_000) ?(limit = 100_000) ?(sc_limit = 100_000)
       let schedules = r.Dpor.schedules in
       if r.Dpor.stopped then begin
         let bad = List.nth r.Dpor.executions (r.Dpor.schedules - 1) in
-        let sched, min_exec =
-          Vcampaign.minimize ~model ~sc:pool ~require_racefree:false mk
-            bad.Exec.schedule
-        in
-        let verified =
-          Vcampaign.verify ~model mk ?path:witness_path sched min_exec
+        let sched, min_exec, () =
+          Witness.minimize ~model mk bad.Exec.schedule ~violates:(fun e ->
+              if Scpool.explainable pool e then None else Some ())
         in
         finish
-          (Not_robust
-             {
-               w_schedule = sched;
-               w_exec = min_exec;
-               w_path = witness_path;
-               w_verified = verified;
-             })
+          (Not_robust (Witness.make ~model mk ?path:witness_path sched min_exec))
           ~sc_behaviours ~schedules
       end
       else if r.Dpor.complete then
@@ -119,7 +104,7 @@ let run ?(max_steps = 2_000) ?(limit = 100_000) ?(sc_limit = 100_000)
 let exit_code t =
   match t.verdict with
   | Robust_verdict _ -> 0
-  | Not_robust w -> if w.w_verified = Ok () then 2 else 1
+  | Not_robust w -> if w.Witness.verified = Ok () then 2 else 1
   | Unknown _ -> 3
 
 (* -- rendering --------------------------------------------------------- *)
@@ -131,15 +116,11 @@ let verdict_str t =
   | Not_robust _ -> "NOT ROBUST"
   | Unknown _ -> "UNKNOWN"
 
-let pp_witness ppf w =
+let pp_witness ppf (w : witness) =
   Format.fprintf ppf
-    "non-SC witness: %d-step schedule, %d operation(s) performed%s"
-    (List.length w.w_schedule)
-    (Exec.n_ops w.w_exec)
-    (match (w.w_verified, w.w_path) with
-    | Ok (), Some p -> Printf.sprintf ", verified v2 trace at %s" p
-    | Ok (), None -> ", replay + round-trip verified"
-    | Error e, _ -> Printf.sprintf ", VERIFICATION FAILED: %s" e)
+    "non-SC witness: %d-step schedule, %d operation(s) performed%a"
+    (List.length w.Witness.schedule)
+    (Exec.n_ops w.Witness.exec) Witness.pp_verification w
 
 let pp ?(explain = false) ppf t =
   Format.pp_open_vbox ppf 0;

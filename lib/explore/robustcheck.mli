@@ -13,12 +13,7 @@
     dynamically; budget exhaustion — or an SC pool that does not
     enumerate (spinning program) — is UNKNOWN. *)
 
-type witness = {
-  w_schedule : Memsim.Exec.decision list;  (** minimized breaking prefix *)
-  w_exec : Memsim.Exec.t;  (** its drained replay *)
-  w_path : string option;  (** witness trace file, when requested *)
-  w_verified : (unit, string) result;
-}
+type witness = Witness.t
 
 type verdict =
   | Robust_verdict of [ `Static | `Dynamic ]

@@ -1,5 +1,4 @@
 module Exec = Memsim.Exec
-module Machine = Memsim.Machine
 module Model = Memsim.Model
 module Op = Memsim.Op
 module Absdom = Staticcheck.Absdom
@@ -10,7 +9,6 @@ module Postmortem = Racedetect.Postmortem
 module Race = Racedetect.Race
 module Trace = Tracing.Trace
 module Event = Tracing.Event
-module Codec = Tracing.Codec
 
 type status = Confirmed | Refuted | Unknown
 
@@ -79,33 +77,6 @@ let match_race (pair : Candidates.pair) (a : Postmortem.analysis) =
 
 (* -- triage of one candidate ------------------------------------------- *)
 
-let replay_prefix ~model mk prefix =
-  let m = Machine.create ~model (mk ()) in
-  List.iter (Machine.perform m) prefix;
-  if not (Machine.finished m) then Machine.set_truncated m;
-  Machine.force_drain m;
-  Machine.to_execution m
-
-(* Greedy witness minimization: the shortest schedule prefix whose replay
-   (buffers drained, truncation marked) still exhibits a race matching
-   the candidate.  A race in a prefix is a race of every extension —
-   hb1 only gains events — so the scan from the short end finds the
-   minimal confirming prefix. *)
-let minimize ~model mk pair sched =
-  let n = List.length sched in
-  let rec go k =
-    if k > n then
-      invalid_arg "Triage.minimize: full schedule no longer confirms"
-    else
-      let prefix = List.filteri (fun i _ -> i < k) sched in
-      let exec = replay_prefix ~model mk prefix in
-      let analysis = Postmortem.analyze_execution exec in
-      match match_race pair analysis with
-      | Some race -> { schedule = prefix; exec; analysis; race }
-      | None -> go (k + 1)
-  in
-  go 1
-
 let triage_pair ?(max_steps = 400) ?(limit = 2_000) ~model mk
     (pair : Candidates.pair) =
   let confirms e =
@@ -119,11 +90,17 @@ let triage_pair ?(max_steps = 400) ?(limit = 2_000) ~model mk
   if res.Dpor.stopped then begin
     (* the stop predicate fired on the last recorded execution *)
     let full = List.nth res.Dpor.executions (res.Dpor.schedules - 1) in
-    let w = minimize ~model mk pair full.Exec.schedule in
+    (* the shortest confirming prefix: a race in a prefix is a race of
+       every extension (hb1 only gains events) *)
+    let schedule, exec, (analysis, race) =
+      Witness.minimize ~model mk full.Exec.schedule ~violates:(fun exec ->
+          let analysis = Postmortem.analyze_execution exec in
+          Option.map (fun race -> (analysis, race)) (match_race pair analysis))
+    in
     {
       pair;
       status = Confirmed;
-      witness = Some w;
+      witness = Some { schedule; exec; analysis; race };
       schedules = res.Dpor.schedules;
       complete = false;
     }
@@ -157,28 +134,10 @@ let exit_code r =
 
 (* -- witness files ------------------------------------------------------ *)
 
-let race_endpoints (trace : Trace.t) (r : Race.t) =
-  let ev e = (trace.Trace.events.(e).Event.proc, trace.Trace.events.(e).Event.seq) in
-  (ev r.Race.a, ev r.Race.b, r.Race.locs)
-
-let write_witness path w =
-  let trace = w.analysis.Postmortem.trace in
-  Codec.write_file ~version:Codec.version_checksummed path trace;
-  match Codec.read_file path with
-  | Error e -> Error e
-  | Ok decoded ->
-    let want = race_endpoints trace w.race in
-    let reanalysis = Postmortem.analyze decoded in
-    if
-      List.exists
-        (fun r -> race_endpoints decoded r = want)
-        reanalysis.Postmortem.races
-    then Ok ()
-    else
-      Error
-        (Format.asprintf
-           "witness %s: race %a not reproduced by analyzing the written trace"
-           path Race.pp w.race)
+let write_witness r path w =
+  Witness.verify ~model:r.model
+    (fun () -> Minilang.Interp.source r.program)
+    ~path w.schedule w.exec
 
 (* -- rendering ----------------------------------------------------------- *)
 

@@ -72,9 +72,9 @@ val triage_pair :
 (** Triage one candidate.  Defaults: [max_steps] 400, [limit] 2_000
     schedules — small enough that spinning programs reach UNKNOWN
     quickly; loop-free litmus programs complete far below either bound.
-    The witness schedule is minimized greedily: the shortest prefix of
-    the confirming schedule whose replay (plus buffer drain) still
-    exhibits the race. *)
+    The witness schedule is minimized greedily ({!Witness.minimize}): the
+    shortest prefix of the confirming schedule whose replay (plus buffer
+    drain) still exhibits the race. *)
 
 val run :
   ?max_steps:int ->
@@ -96,11 +96,14 @@ val exit_code : report -> int
     candidate is UNKNOWN; else 0 (every data candidate refuted — or none
     existed). *)
 
-val write_witness : string -> witness -> (unit, string) result
-(** Write the witness trace to a file in the checksummed v2 format, then
-    read the bytes back, decode and re-analyze them, and check a race
-    with the same endpoints — (processor, sequence) of both events — and
-    the same locations survives the round trip.  [Error] describes any
-    mismatch; the file is left in place for inspection. *)
+val write_witness : report -> string -> witness -> (unit, string) result
+(** [write_witness r path w] writes the witness trace of one of [r]'s
+    verdicts to [path] in the checksummed v2 format and checks it with
+    {!Witness.verify}: the schedule replays to the same bytes, and the
+    decoded file re-analyzes to exactly the original race set.  [Error]
+    describes any mismatch; the file is left in place for inspection. *)
+
+val status_name : status -> string
+(** ["CONFIRMED"], ["REFUTED"] or ["UNKNOWN"]. *)
 
 val pp : Format.formatter -> report -> unit

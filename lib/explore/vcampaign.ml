@@ -2,22 +2,17 @@ module Exec = Memsim.Exec
 module Machine = Memsim.Machine
 module Model = Memsim.Model
 module Variant = Memsim.Variant
-module Op = Memsim.Op
 module Sched = Memsim.Sched
 module Enumerate = Memsim.Enumerate
 module Condition = Racedetect.Condition
 module Ophb = Racedetect.Ophb
-module Postmortem = Racedetect.Postmortem
-module Trace = Tracing.Trace
-module Codec = Tracing.Codec
 
 (* The hardware-variant campaign: sweep variant x stock-program x seed,
    assert per variant whether Condition 3.4 (the SC-prefix property up
    to the first race) is preserved, and separately whether fences
    actually order buffered writes.  Each violating variant gets a
    minimized breaking schedule emitted as a replayable v2 witness trace,
-   re-verified through decode + re-analysis — the triage witness
-   discipline. *)
+   re-verified through decode + re-analysis ({!Witness}). *)
 
 type check = Cond34 | Fence_contract
 
@@ -25,10 +20,7 @@ type witness = {
   w_check : check;
   w_program : string;
   w_seed : int option;  (* None: found by envelope enumeration *)
-  w_schedule : Exec.decision list;
-  w_exec : Exec.t;
-  w_path : string option;
-  w_verified : (unit, string) result;
+  witness : Witness.t;
 }
 
 type prediction = { p_cond34 : bool; p_fence : bool }
@@ -90,84 +82,6 @@ let sched_for seed =
 let prefix_explainable = Scpool.prefix_explainable
 
 let race_free e = Ophb.data_races (Ophb.build e) = []
-
-(* -- witnesses --------------------------------------------------------- *)
-
-let replay ~model mk prefix =
-  let m = Machine.create ~model (mk ()) in
-  List.iter (Machine.perform m) prefix;
-  if not (Machine.finished m) then Machine.set_truncated m;
-  Machine.force_drain m;
-  Machine.to_execution m
-
-(* Greedy minimization, triage-style: the shortest schedule prefix whose
-   drained replay still breaks the property.  For a Condition 3.4
-   (clause 1) witness the prefix must be race-free yet SC-inexplicable;
-   a fence-contract witness only needs inexplicability (the fenced
-   litmus races by design, Condition 3.4 itself is not at stake). *)
-let minimize ~model ~sc ~require_racefree mk sched =
-  let n = List.length sched in
-  let violates e =
-    (not (Scpool.explainable sc e))
-    && ((not require_racefree) || race_free e)
-  in
-  let rec go k =
-    if k > n then
-      invalid_arg "Vcampaign.minimize: full schedule no longer violates"
-    else
-      let prefix = List.filteri (fun i _ -> i < k) sched in
-      let e = replay ~model mk prefix in
-      if violates e then (prefix, e) else go (k + 1)
-  in
-  go 1
-
-let race_endpoints (trace : Trace.t) (r : Racedetect.Race.t) =
-  let ev e =
-    (trace.Trace.events.(e).Tracing.Event.proc,
-     trace.Trace.events.(e).Tracing.Event.seq)
-  in
-  (ev r.Racedetect.Race.a, ev r.Racedetect.Race.b, r.Racedetect.Race.locs)
-
-(* A witness must replay and survive the file round trip:
-   1. re-performing the minimized schedule yields a byte-identical v2
-      trace (the machine is deterministic in the schedule);
-   2. the written v2 trace decodes, and re-analysis of the decoded copy
-      reports exactly the races of the original (none, for a clause-1
-      witness). *)
-let verify ~model mk ?path (w : Exec.decision list) (exec : Exec.t) =
-  let ( let* ) = Result.bind in
-  let t0 = Trace.of_execution exec in
-  let enc0 = Codec.encode ~version:Codec.version_checksummed t0 in
-  let replayed = replay ~model mk w in
-  let enc1 =
-    Codec.encode ~version:Codec.version_checksummed (Trace.of_execution replayed)
-  in
-  let* () =
-    if enc0 = enc1 then Ok ()
-    else Error "replaying the schedule does not reproduce the trace byte for byte"
-  in
-  let check_decoded decoded =
-    let races t =
-      let a = Postmortem.analyze t in
-      List.map (race_endpoints t) a.Postmortem.races |> List.sort compare
-    in
-    if
-      Codec.encode ~version:Codec.version_checksummed decoded = enc0
-      && races decoded = races t0
-    then Ok ()
-    else Error "decoded witness does not re-analyze identically"
-  in
-  match path with
-  | None -> (
-    (* no file requested: round-trip in memory *)
-    match Codec.decode enc0 with
-    | Ok decoded -> check_decoded decoded
-    | Error e -> Error e)
-  | Some path -> (
-    Codec.write_file ~version:Codec.version_checksummed path t0;
-    match Codec.read_file path with
-    | Ok decoded -> check_decoded decoded
-    | Error e -> Error e)
 
 (* -- the sweep --------------------------------------------------------- *)
 
@@ -240,22 +154,28 @@ let run ?(seeds = 16) ?jobs ?witness_dir () =
              (match check with Cond34 -> "cond34" | Fence_contract -> "fence")))
       witness_dir
   in
+  (* For a Condition 3.4 (clause 1) witness the minimized prefix must be
+     race-free yet SC-inexplicable; a fence-contract witness only needs
+     inexplicability (the fenced litmus races by design, Condition 3.4
+     itself is not at stake). *)
   let make_witness ~check ~model ~require_racefree ~vname p seed exec =
     let mk () = Minilang.Interp.source p in
-    let sched, min_exec =
-      minimize ~model ~sc:(pool_of p) ~require_racefree mk
-        exec.Exec.schedule
+    let violates e =
+      if
+        (not (Scpool.explainable (pool_of p) e))
+        && ((not require_racefree) || race_free e)
+      then Some ()
+      else None
     in
-    let path = witness_path vname check in
-    let verified = verify ~model mk ?path sched min_exec in
+    let sched, min_exec, () =
+      Witness.minimize ~model ~violates mk exec.Exec.schedule
+    in
     {
       w_check = check;
       w_program = p.Minilang.Ast.name;
       w_seed = seed;
-      w_schedule = sched;
-      w_exec = min_exec;
-      w_path = path;
-      w_verified = verified;
+      witness =
+        Witness.make ~model mk ?path:(witness_path vname check) sched min_exec;
     }
   in
   let verdicts =
@@ -320,7 +240,7 @@ let run ?(seeds = 16) ?jobs ?witness_dir () =
   in
   let witness_sound = function
     | None -> true
-    | Some w -> w.w_verified = Ok ()
+    | Some w -> w.witness.Witness.verified = Ok ()
   in
   let as_predicted =
     List.for_all
@@ -346,16 +266,13 @@ let pp_outcome ppf (ok, predicted) =
     | true, false -> "pass!?")
 
 let pp_witness ppf w =
-  Format.fprintf ppf "@,  %s witness: %s, %d-step schedule%s%s"
+  Format.fprintf ppf "@,  %s witness: %s, %d-step schedule%s%a"
     (check_name w.w_check) w.w_program
-    (List.length w.w_schedule)
+    (List.length w.witness.Witness.schedule)
     (match w.w_seed with
     | Some s -> Printf.sprintf " (seed %d)" s
     | None -> " (envelope)")
-    (match (w.w_verified, w.w_path) with
-    | Ok (), Some p -> Printf.sprintf ", verified v2 trace at %s" p
-    | Ok (), None -> ", replay + round-trip verified"
-    | Error e, _ -> Printf.sprintf ", VERIFICATION FAILED: %s" e)
+    Witness.pp_verification w.witness
 
 let pp_verdict ppf v =
   Format.fprintf ppf "%-20s %-22s %a %a %5d+%d runs"

@@ -14,8 +14,7 @@
     {!Memsim.Variant.honors_fences}); every violating variant gets a
     greedily minimized breaking schedule emitted as a replayable v2
     witness trace and re-verified — byte-identical replay, codec round
-    trip, identical re-analysis — following the triage witness
-    discipline. *)
+    trip, identical re-analysis ({!Witness}). *)
 
 type check = Cond34 | Fence_contract
 
@@ -23,10 +22,9 @@ type witness = {
   w_check : check;
   w_program : string;  (** stock-program name *)
   w_seed : int option;  (** [None]: found by envelope enumeration *)
-  w_schedule : Memsim.Exec.decision list;  (** minimized breaking prefix *)
-  w_exec : Memsim.Exec.t;  (** its drained replay *)
-  w_path : string option;  (** trace file, when a witness dir was given *)
-  w_verified : (unit, string) result;
+  witness : Witness.t;
+      (** minimized breaking prefix, its replay, and its trace file when a
+          witness dir was given *)
 }
 
 type prediction = { p_cond34 : bool; p_fence : bool }
@@ -61,37 +59,6 @@ val prefix_explainable : sc:Memsim.Exec.t list -> Memsim.Exec.t -> bool
     replays minimization produces, where
     {!Memsim.Exec.same_program_behaviour} (equal lengths) cannot; on
     complete executions the two coincide. *)
-
-val replay :
-  model:Memsim.Model.t ->
-  (unit -> Memsim.Thread_intf.source) ->
-  Memsim.Exec.decision list ->
-  Memsim.Exec.t
-(** Re-perform a schedule prefix on a fresh machine, mark it truncated
-    if threads remain, drain, and return the resulting execution. *)
-
-val minimize :
-  model:Memsim.Model.t ->
-  sc:Scpool.t ->
-  require_racefree:bool ->
-  (unit -> Memsim.Thread_intf.source) ->
-  Memsim.Exec.decision list ->
-  Memsim.Exec.decision list * Memsim.Exec.t
-(** Greedy triage-style minimization: the shortest schedule prefix whose
-    drained replay is still SC-inexplicable (and race-free, when
-    [require_racefree]).  @raise Invalid_argument when the full schedule
-    no longer violates. *)
-
-val verify :
-  model:Memsim.Model.t ->
-  (unit -> Memsim.Thread_intf.source) ->
-  ?path:string ->
-  Memsim.Exec.decision list ->
-  Memsim.Exec.t ->
-  (unit, string) result
-(** The witness discipline shared with {!Robustcheck}: re-performing the
-    schedule must yield a byte-identical v2 trace, and the (optionally
-    written) trace must decode and re-analyze identically. *)
 
 val run :
   ?seeds:int -> ?jobs:int -> ?witness_dir:string -> unit -> report

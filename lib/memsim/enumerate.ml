@@ -1,67 +1,25 @@
 type result = { executions : Exec.t list; complete : bool }
 
-(* Replay [prefix] issue decisions on a fresh machine.  Returns the machine
-   positioned at the frontier. *)
-let replay_prefix mk prefix =
-  let m = Machine.create ~model:Model.SC (mk ()) in
-  List.iter (fun p -> Machine.perform m (Exec.Issue p)) prefix;
-  m
-
-let enabled_procs m =
-  List.filter_map
-    (function Exec.Issue p -> Some p | Exec.Retire _ -> None)
-    (Machine.enabled m)
-
-let explore ?(max_steps = 2_000) ?(limit = 100_000) mk =
-  let found = ref [] in
-  let n_found = ref 0 in
-  let complete = ref true in
-  (* DFS over issue prefixes, re-executing from scratch at every node: the
-     interpreter state is not snapshotable (continuations), and litmus
-     programs are tiny, so the quadratic replay cost is irrelevant. *)
-  let rec dfs prefix depth =
-    if !n_found >= limit then complete := false
-    else begin
-      let m = replay_prefix mk (List.rev prefix) in
-      match enabled_procs m with
-      | [] ->
-        found := Machine.to_execution m :: !found;
-        incr n_found
-      | procs ->
-        if depth >= max_steps then begin
-          (* nonterminating under this schedule; record as truncated *)
-          Machine.set_truncated m;
-          found := Machine.to_execution m :: !found;
-          incr n_found;
-          complete := false
-        end
-        else List.iter (fun p -> dfs (p :: prefix) (depth + 1)) procs
-    end
-  in
-  dfs [] 0;
-  { executions = List.rev !found; complete = !complete }
-
-(* Exhaustive DFS over the full decision space (issues and retires) of a
-   weak model.  Same replay-from-scratch structure as [explore]. *)
+(* Exhaustive DFS over the full decision space (issues and retires),
+   re-executing from scratch at every node: the interpreter state is not
+   snapshotable (continuations), and litmus programs are tiny, so the
+   quadratic replay cost is irrelevant.  Under SC the only enabled
+   decisions are issues, in processor order. *)
 let explore_weak ?(max_steps = 400) ?(limit = 500_000) ~model mk =
   let found = ref [] in
   let n_found = ref 0 in
   let complete = ref true in
-  let replay prefix =
-    let m = Machine.create ~model (mk ()) in
-    List.iter (Machine.perform m) prefix;
-    m
-  in
   let rec dfs prefix depth =
     if !n_found >= limit then complete := false
     else begin
-      let m = replay (List.rev prefix) in
+      let m = Machine.replay ~model mk (List.rev prefix) in
       match Machine.enabled m with
       | [] ->
         found := Machine.to_execution m :: !found;
         incr n_found
       | decisions ->
         if depth >= max_steps then begin
+          (* nonterminating under this schedule; record as truncated *)
           Machine.set_truncated m;
           Machine.force_drain m;
           found := Machine.to_execution m :: !found;
@@ -73,6 +31,9 @@ let explore_weak ?(max_steps = 400) ?(limit = 500_000) ~model mk =
   in
   dfs [] 0;
   { executions = List.rev !found; complete = !complete }
+
+let explore ?(max_steps = 2_000) ?(limit = 100_000) mk =
+  explore_weak ~max_steps ~limit ~model:Model.SC mk
 
 let behaviours execs =
   List.fold_left

@@ -9,8 +9,13 @@
     (Def 2.4), races that "also occur in some SC execution" (Thm 4.2), and
     sequentially consistent prefixes (Def 3.2).
 
+    One depth-first enumerator serves every model: {!explore_weak}
+    branches over every enabled decision, and {!explore} is that search
+    under SC, where the only enabled decisions are issues.  Each node
+    re-executes its prefix from scratch ({!Machine.replay}).
+
     Enumeration is exponential; it is intended for the small litmus
-    programs of the test suite.  [explore] stops after [limit] executions
+    programs of the test suite.  A search stops after [limit] executions
     and reports whether the space was covered completely. *)
 
 type result = {
@@ -20,11 +25,12 @@ type result = {
 
 val explore :
   ?max_steps:int -> ?limit:int -> (unit -> Thread_intf.source) -> result
-(** [explore mk] runs a depth-first search over all SC issue
-    interleavings of the program [mk ()].  [mk] is called once per
-    explored schedule, so it must build a fresh, deterministic source
-    each time.  [limit] defaults to 100_000 executions; [max_steps]
-    (default 2_000) bounds each schedule's length. *)
+(** [explore mk] is [explore_weak ~model:Model.SC mk] with its own
+    defaults: a depth-first search over all SC issue interleavings of
+    the program [mk ()].  [mk] is called once per explored node, so it
+    must build a fresh, deterministic source each time.  [limit]
+    defaults to 100_000 executions; [max_steps] (default 2_000) bounds
+    each schedule's length. *)
 
 val sample :
   ?max_steps:int -> seeds:int list -> (unit -> Thread_intf.source) -> Exec.t list
@@ -41,7 +47,9 @@ val explore_weak :
     covers the model's entire behaviour envelope for the program (as
     realized by this simulator).  The tree is much larger than the SC
     one — reserve for litmus-sized, loop-free programs.  Used to verify
-    Condition 3.4 over {e all} weak executions rather than a sample. *)
+    Condition 3.4 over {e all} weak executions rather than a sample.
+    Defaults: [max_steps] 400 (a longer schedule is truncated, drained,
+    recorded and marks the result incomplete), [limit] 500_000. *)
 
 val behaviours : Exec.t list -> Exec.t list
 (** Deduplicate executions by program behaviour

@@ -2,6 +2,7 @@ type buffered = { op_id : int; loc : Op.loc; value : Op.value }
 
 type t = {
   model : Model.t;
+  variant : Variant.t;              (* the model's lattice point: all rules read it *)
   src : Thread_intf.source;
   mem : Op.value array;
   mem_writer : int array;           (* op id of last write to each loc; -1 initial *)
@@ -35,6 +36,7 @@ let create ?on_op ~model (src : Thread_intf.source) =
   List.iter (fun (l, v) -> mem.(l) <- v) src.init;
   {
     model;
+    variant = Model.variant model;
     src;
     mem;
     mem_writer = Array.make src.n_locs (-1);
@@ -80,11 +82,14 @@ let record_op t ~proc ~loc ~kind ~cls ~value ~label =
   (match t.on_op with Some f -> f o | None -> ());
   o
 
-(* -- knob-driven issue rules for Custom variants ----------------------
+(* -- issue rules ---------------------------------------------------------
 
-   Named models go through the original per-model rules below; [Custom]
-   variants through these.  The two must agree on the canonical lattice
-   points — the qcheck differential suite compares them run for run. *)
+   Every model, named or custom, is a point of the {!Variant} lattice;
+   these rules read only its knobs. *)
+
+(* Whether a data write of class [cls] goes into the store buffer rather
+   than straight to memory. *)
+let buffered t (cls : Op.op_class) = Variant.has_buffer t.variant && cls = Op.Data
 
 (* [Drain] waits for an empty buffer; [Partial] only for pending writes
    to the operation's own location (fences name no location, so every
@@ -98,16 +103,12 @@ let drain_ok t p (d : Variant.drain) ~loc =
     | Some l -> not (has_pending_write_to t p l)
     | None -> buffer_empty t p)
 
-let variant_may_issue t p v (req : Thread_intf.request) =
+let may_issue t p (req : Thread_intf.request) =
+  let v = t.variant in
   let drained cls ~loc =
     match (cls : Op.op_class) with
     | Op.Data -> true
     | _ -> drain_ok t p (Variant.drain_on v cls) ~loc
-  in
-  let slot_free () =
-    match v.Variant.depth with
-    | Variant.Unbounded -> true
-    | Variant.Bounded n -> List.length (buffer t p) < n
   in
   match req with
   | Thread_intf.Read { cls; loc; _ } ->
@@ -118,27 +119,16 @@ let variant_may_issue t p v (req : Thread_intf.request) =
   | Thread_intf.Write { cls; loc; _ } ->
     drained cls ~loc:(Some loc)
     &&
-    if Variant.has_buffer v && cls = Op.Data then slot_free ()
+    if buffered t cls then
+      match v.Variant.depth with
+      | Variant.Unbounded -> true
+      | Variant.Bounded n -> List.length (buffer t p) < n
     else not (has_pending_write_to t p loc)
   | Thread_intf.Rmw { rcls; wcls; loc; _ } ->
     drained rcls ~loc:(Some loc)
     && drained wcls ~loc:(Some loc)
     && not (has_pending_write_to t p loc)
   | Thread_intf.Fence _ -> drain_ok t p v.Variant.on_fence ~loc:None
-
-let may_issue t p (req : Thread_intf.request) =
-  match t.model with
-  | Model.Custom v -> variant_may_issue t p v req
-  | _ ->
-    let drained cls = (not (Model.drains_on t.model cls)) || buffer_empty t p in
-    (match req with
-    | Thread_intf.Read { cls; _ } -> drained cls
-    | Thread_intf.Write { cls; loc; _ } ->
-      drained cls
-      && (cls = Op.Data || not (has_pending_write_to t p loc))
-    | Thread_intf.Rmw { rcls; wcls; loc; _ } ->
-      drained rcls && drained wcls && not (has_pending_write_to t p loc)
-    | Thread_intf.Fence _ -> buffer_empty t p)
 
 let enabled t =
   let issues = ref [] in
@@ -149,8 +139,8 @@ let enabled t =
   done;
   let retires = ref [] in
   for p = t.src.n_procs - 1 downto 0 do
-    if Model.fifo_buffer t.model then (
-      (* TSO: only the oldest buffered write may retire *)
+    if t.variant.Variant.retire = Variant.Fifo then (
+      (* only the oldest buffered write may retire *)
       match buffer t p with
       | e :: _ -> retires := Exec.Retire (p, e.loc) :: !retires
       | [] -> ())
@@ -172,10 +162,7 @@ let enabled t =
    is only enabled once no same-location write is pending; Bypass reads
    memory even when one is — that is its defect). *)
 let reads_forward t p loc =
-  (match t.model with
-  | Model.Custom v -> v.Variant.read = Variant.Forward
-  | _ -> true)
-  && forwardable t p loc <> None
+  t.variant.Variant.read = Variant.Forward && forwardable t p loc <> None
 
 let footprint t d =
   match d with
@@ -188,8 +175,7 @@ let footprint t d =
          never consults memory, so it commutes with everything remote *)
       if reads_forward t p loc then [] else [ (loc, Op.Read) ]
     | Some (Thread_intf.Write { loc; cls; _ }) ->
-      if Model.buffers_writes t.model && cls = Op.Data then []
-      else [ (loc, Op.Write) ]
+      if buffered t cls then [] else [ (loc, Op.Write) ]
     | Some (Thread_intf.Rmw { loc; _ }) -> [ (loc, Op.Read); (loc, Op.Write) ]
     | Some (Thread_intf.Fence _) -> [])
 
@@ -200,27 +186,21 @@ type buffer_footprint =
   | BWrites of Op.loc
   | BAll
 
-(* Custom variants widen the same-processor dependences the explorer
-   must see:
+(* The knobs widen the same-processor dependences the explorer must
+   see beyond forwarding and appends:
    - a [Stall] read's enabledness flips when a same-location write
      retires, and a [Partial] drain waits on exactly those retires, so
      both are [BReads loc] even though neither touches the buffer's
      contents ([BReads l] conflicts with [BWrites l]);
+   - a draining read, an unbuffered write, a read-modify-write and a
+     draining fence are enabled only over an empty buffer: [BAll];
    - a data write into a [Bounded] buffer is enabled only while a slot
      is free, so a retire of {e any} location can enable it: [BAll]
      (which conflicts with every [BWrites]);
    - a [Bypass] read and a [fence=nop] fence ignore the buffer
      entirely: [BNone]. *)
-let variant_issue_buffer_footprint t p v (req : Thread_intf.request) =
-  let worst a b =
-    match (a, b) with
-    | BAll, _ | _, BAll -> BAll
-    | BReads l, BNone | BNone, BReads l -> BReads l
-    | BReads l, BReads _ -> BReads l
-    | x, BNone -> x
-    | BNone, x -> x
-    | x, _ -> x
-  in
+let issue_buffer_footprint t p (req : Thread_intf.request) =
+  let v = t.variant in
   let drain_dep cls ~loc =
     match (cls : Op.op_class) with
     | Op.Data -> BNone
@@ -232,16 +212,16 @@ let variant_issue_buffer_footprint t p v (req : Thread_intf.request) =
       | Variant.Nop -> BNone)
   in
   match req with
-  | Thread_intf.Read { cls; loc; _ } ->
-    let policy_dep =
+  | Thread_intf.Read { cls; loc; _ } -> (
+    match drain_dep cls ~loc:(Some loc) with
+    | BNone -> (
       match v.Variant.read with
       | Variant.Forward -> if forwardable t p loc <> None then BReads loc else BNone
       | Variant.Stall -> BReads loc
-      | Variant.Bypass -> BNone
-    in
-    worst (drain_dep cls ~loc:(Some loc)) policy_dep
+      | Variant.Bypass -> BNone)
+    | dep -> dep)
   | Thread_intf.Write { cls; loc; _ } ->
-    if Variant.has_buffer v && cls = Op.Data then (
+    if buffered t cls then (
       match v.Variant.depth with
       | Variant.Unbounded -> BAppends loc
       | Variant.Bounded _ -> BAll)
@@ -257,27 +237,7 @@ let buffer_footprint t d =
   | Exec.Issue p -> (
     match t.src.peek p with
     | None -> BNone
-    | Some req -> (
-      match t.model with
-      | Model.Custom v -> variant_issue_buffer_footprint t p v req
-      | _ -> (
-        match req with
-        | Thread_intf.Read { cls; loc; _ } ->
-          (* a forwarded read consults the buffer: retiring the forwarding
-             source changes it into a memory read.  A draining read is only
-             enabled once the buffer is empty. *)
-          if forwardable t p loc <> None then BReads loc
-          else if Model.drains_on t.model cls then BAll
-          else BNone
-        | Thread_intf.Write { cls; loc; _ } ->
-          (* a buffered data write appends the youngest entry; a retire of
-             the same location may only exist because of it (enabling), so
-             they are conservatively dependent.  Unbuffered writes wait for
-             drains. *)
-          if Model.buffers_writes t.model && cls = Op.Data then BAppends loc
-          else BAll
-        | Thread_intf.Rmw _ -> BAll
-        | Thread_intf.Fence _ -> BAll)))
+    | Some req -> issue_buffer_footprint t p req)
 
 let finished t = enabled t = []
 
@@ -318,7 +278,7 @@ let do_issue t p =
        k value
      | Thread_intf.Write { loc; value; cls; label; k } ->
        let o = record_op t ~proc:p ~loc ~kind:Op.Write ~cls ~value ~label in
-       if Model.buffers_writes t.model && cls = Op.Data then begin
+       if buffered t cls then begin
          set_buffer t p (buffer t p @ [ { op_id = o.Op.id; loc; value } ]);
          t.st_buffered <- t.st_buffered + 1;
          t.st_max_buffer <- max t.st_max_buffer (List.length (buffer t p));
@@ -413,6 +373,11 @@ let stats t =
     buffered_writes = t.st_buffered;
     delay_total = t.st_delay;
   }
+
+let replay ~model mk prefix =
+  let t = create ~model (mk ()) in
+  List.iter (perform t) prefix;
+  t
 
 let drive ?(max_steps = 20_000) ?on_op ~model ~sched (src : Thread_intf.source) =
   let t = create ?on_op ~model src in

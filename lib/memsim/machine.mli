@@ -1,36 +1,37 @@
 (** The operation-level multiprocessor: shared memory, one store buffer per
-    processor, and the per-model issue rules of {!Model}.
+    processor, and issue rules that read nothing but the model's
+    {!Variant} knobs ({!Model.variant}).
 
     Semantics in brief:
     - An {e issue} performs the processor's next request.  Reads take
-      effect immediately, forwarding from the processor's own newest
-      buffered write to the same location when one is pending.  Data
-      writes enter the store buffer on buffering models (all but SC) and
-      go straight to memory on SC.  Synchronization operations and
-      read-modify-writes always take effect atomically at memory on issue
-      (synchronization is sequentially consistent on every model), subject
-      to the model's drain rule ({!Model.drains_on}) and to per-location
-      coherence (a write may not bypass a pending same-location write of
-      its own processor).
-    - A {e retire} moves one buffered write to memory.  Retirement across
-      different locations happens in any order the scheduler picks — this
-      out-of-order completion is precisely what makes the weak executions
-      of the paper's Figures 1a and 2b possible — while writes to the same
-      location retire in program order.
+      effect immediately: a [Forward] read returns the processor's own
+      newest buffered write to the same location when one is pending, a
+      [Stall] read waits until none is, and a [Bypass] read reads memory
+      regardless (a deliberately broken knob).  Data writes enter the
+      store buffer when the variant has one (all but SC) — a [Bounded]
+      buffer stalls them until a slot frees — and go straight to memory
+      otherwise.  Synchronization operations and read-modify-writes
+      always take effect atomically at memory on issue (synchronization
+      is sequentially consistent on every model), subject to the
+      variant's per-class drain rule ([Drain] waits for an empty buffer,
+      [Partial] only for same-location writes, [Nop] not at all) and to
+      per-location coherence (a write may not bypass a pending
+      same-location write of its own processor).  Fences wait for the
+      buffer to drain unless [fence=nop].
+    - A {e retire} moves one buffered write to memory.  With
+      [retire=ooo], retirement across different locations happens in
+      any order the scheduler picks — this out-of-order completion is
+      precisely what makes the weak executions of the paper's Figures
+      1a and 2b possible — while writes to the same location retire in
+      program order; with [retire=fifo] (TSO) only the oldest may.
 
-    Named models go through the per-model rules above; [Model.Custom]
-    variants go through knob-driven rules ({!Variant}) that generalize
-    them: bounded buffer depth stalls data writes until a slot frees,
-    [Stall] reads wait for conflicting retires and [Bypass] reads skip
-    the forwarding network entirely, [Partial] drains wait only for
-    same-location writes, and [fence=nop] lets fences issue over a full
-    buffer.  The canonical lattice points must behave exactly like their
-    named models — the qcheck differential suite enforces this — and
-    {!footprint}/{!buffer_footprint} stay conservative for every knob so
-    partial-order-reduced exploration remains sound.
+    Named models are canonical lattice points and run through the same
+    rules as any custom variant.  {!footprint}/{!buffer_footprint} stay
+    conservative for every knob so partial-order-reduced exploration
+    remains sound.
 
-    The step-wise API ([enabled]/[perform]) is what the SC-interleaving
-    enumerator drives; [run] wraps it with a scheduler. *)
+    The step-wise API ([enabled]/[perform]) is what the enumerators and
+    the DPOR explorer drive; [run] wraps it with a scheduler. *)
 
 type t
 
@@ -87,6 +88,14 @@ val buffer_footprint : t -> Exec.decision -> buffer_footprint
 
 val perform : t -> Exec.decision -> unit
 (** @raise Invalid_argument if the decision is not enabled. *)
+
+val replay :
+  model:Model.t -> (unit -> Thread_intf.source) -> Exec.decision list -> t
+(** [replay ~model mk prefix] performs [prefix] on a fresh machine over
+    [mk ()] and returns the machine positioned at the prefix's end.  The
+    interpreter state is not snapshotable (continuations), so every
+    explorer re-executes a schedule from scratch through this one
+    function.  @raise Invalid_argument if a decision is not enabled. *)
 
 val finished : t -> bool
 

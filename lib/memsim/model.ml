@@ -45,29 +45,14 @@ let of_spec s =
            (String.concat ", " (List.map fst Variant.aliases))
            Variant.grammar))
 
-let buffers_writes = function
-  | SC -> false
-  | TSO | WO | RCsc | DRF0 | DRF1 -> true
-  | Custom v -> Variant.has_buffer v
+let buffers_writes m = Variant.has_buffer (variant m)
 
-let fifo_buffer = function
-  | TSO -> true
-  | SC | WO | RCsc | DRF0 | DRF1 -> false
-  | Custom v -> Variant.has_buffer v && v.Variant.retire = Variant.Fifo
+let fifo_buffer m = buffers_writes m && (variant m).Variant.retire = Variant.Fifo
 
-let distinguishes_release_acquire = function
-  | SC | TSO | WO | DRF0 -> false
-  | RCsc | DRF1 -> true
-  | Custom v -> v.Variant.on_acquire <> v.Variant.on_release
+let distinguishes_release_acquire m =
+  let v = variant m in
+  v.Variant.on_acquire <> v.Variant.on_release
 
-let drains_on m (cls : Op.op_class) =
-  match cls with
-  | Op.Data -> false
-  | Op.Acquire | Op.Release | Op.Plain_sync -> (
-    match m with
-    | SC -> false (* nothing is ever buffered *)
-    | TSO | WO | DRF0 -> true
-    | RCsc | DRF1 -> cls = Op.Release
-    | Custom v -> Variant.drain_on v cls = Variant.Drain)
+let drains_on m cls = buffers_writes m && Variant.drain_on (variant m) cls = Variant.Drain
 
 let pp ppf m = Format.pp_print_string ppf (name m)

@@ -57,10 +57,10 @@ val of_name : string -> t option
 
 val variant : t -> Variant.t
 (** The lattice point a named model canonically occupies (identity on
-    [Custom]).  [Machine] runs [Custom (variant m)] through the
-    knob-driven issue rules and [m] itself through the original
-    per-model rules; the two are behaviour-identical — the qcheck
-    differential suite holds them to that. *)
+    [Custom]).  This is the model's whole hardware behaviour: [Machine]
+    and [Cmachine] read nothing else, so [m] and [Custom (variant m)]
+    run identically and differ only in {!name}.  The predicates below
+    are derived from it. *)
 
 val of_spec : string -> (t, string) result
 (** Accepts the named models ({!of_name}) and variant specs / aliases
@@ -68,17 +68,22 @@ val of_spec : string -> (t, string) result
     the valid names and the spec grammar. *)
 
 val buffers_writes : t -> bool
-(** False only for SC. *)
+(** {!Variant.has_buffer}: false for SC (and any depth-0 variant). *)
 
 val fifo_buffer : t -> bool
-(** True only for TSO: buffered writes must retire oldest-first. *)
+(** A buffer that retires oldest-first ([retire=fifo]): among the named
+    models, TSO only. *)
 
 val drains_on : t -> Op.op_class -> bool
 (** [drains_on m cls] is true when an operation of class [cls] may issue
-    only after the issuing processor's store buffer is empty.  [Data]
-    operations never drain; what the sync classes do depends on the
-    model as described above. *)
+    only after the issuing processor's store buffer is empty: the
+    variant has a buffer and its drain knob for [cls] is [Drain].
+    [Data] operations never drain, and a model without a buffer has
+    nothing to drain; what the sync classes do depends on the model as
+    described above. *)
 
 val distinguishes_release_acquire : t -> bool
+(** The variant drains differently on acquires and on releases (RCsc,
+    DRF1). *)
 
 val pp : Format.formatter -> t -> unit

@@ -214,7 +214,7 @@ let test_triage_confirmed () =
         "witness race matches the candidate" true
         (Triage.match_race v.Triage.pair w.Triage.analysis <> None);
       let path = Filename.temp_file "witness" ".trace" in
-      (match Triage.write_witness path w with
+      (match Triage.write_witness r path w with
       | Ok () -> ()
       | Error e -> Alcotest.failf "witness round trip: %s" e);
       Sys.remove path)

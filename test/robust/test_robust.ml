@@ -84,7 +84,7 @@ let test_litmus_matrix () =
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s witness verified" (name_of which) vname)
               true
-              (w.Robustcheck.w_verified = Ok ())
+              (w.Explore.Witness.verified = Ok ())
           | _ -> ())
         roster)
     matrix
@@ -100,7 +100,7 @@ let test_sb_witness_00 () =
       let r = Robustcheck.run ~model p in
       match r.Robustcheck.verdict with
       | Robustcheck.Not_robust w ->
-        let reads = Exec.reads w.Robustcheck.w_exec in
+        let reads = Exec.reads w.Explore.Witness.exec in
         Alcotest.(check bool)
           (vname ^ " witness loads saw 0") true
           (reads <> [] && List.for_all (fun (o : Op.t) -> o.Op.value = 0) reads)
@@ -254,7 +254,7 @@ let scpool_differential =
             e.Exec.schedule
         in
         let t =
-          Explore.Vcampaign.replay ~model
+          Explore.Witness.execution ~model
             (fun () -> Minilang.Interp.source p)
             half
         in
