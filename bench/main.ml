@@ -212,6 +212,7 @@ let fig3 () =
       a;
     let parts = Racedetect.Partition.partitions a.Racedetect.Postmortem.partitions in
     let first = Racedetect.Partition.first_partitions a.Racedetect.Postmortem.partitions in
+    let g' = Oracle.Closure.augmented a.Racedetect.Postmortem.augmented in
     Format.printf
       "@.partitions with data races: %d; first: %d; ordering edges (Def 4.1):@."
       (List.length parts) (List.length first);
@@ -219,9 +220,7 @@ let fig3 () =
       (fun p1 ->
         List.iter
           (fun p2 ->
-            if
-              Racedetect.Partition.ordered_before a.Racedetect.Postmortem.partitions p1 p2
-            then
+            if Oracle.Closure.ordered_before g' p1 p2 then
               Format.printf "  partition #%d  P  partition #%d@."
                 p1.Racedetect.Partition.component p2.Racedetect.Partition.component)
           parts)
@@ -460,7 +459,7 @@ let overhead () =
         let p = Minilang.Gen.random_racy ~config:cfg ~seed () in
         let e = run_weak ~sched:`Random ~model:Memsim.Model.WO ~seed p in
         let t = Racedetect.Ophb.data_races (Racedetect.Ophb.build e) in
-        let o = Racedetect.Onthefly.race_pairs (Racedetect.Onthefly.detect e) in
+        let o = Oracle.Onthefly.race_pairs (Oracle.Onthefly.detect e) in
         incr execs;
         truth := !truth + List.length t;
         found := !found + List.length (List.filter (fun pr -> List.mem pr t) o)
@@ -592,8 +591,8 @@ let ablation () =
         let e = run_weak ~model:Memsim.Model.WO ~seed p in
         let a = Racedetect.Postmortem.analyze_execution e in
         if Racedetect.Postmortem.data_races a <> [] then incr hb;
-        if Racedetect.Onthefly.detect e <> [] then incr otf;
-        if Racedetect.Lockset.check e <> [] then incr ls
+        if Oracle.Onthefly.detect e <> [] then incr otf;
+        if Oracle.Lockset.check e <> [] then incr ls
       done;
       Format.printf "%-18s %9d/60 %9d/60 %9d/60   %s@." p.Minilang.Ast.name !hb !otf
         !ls truth)
@@ -953,10 +952,14 @@ let perf () =
   let thuge = Tracing.Trace.of_execution ehuge in
   let txl = Tracing.Trace.of_execution (exec_of_config xl_cfg 11) in
   let hb400v = Racedetect.Hb.build t400 in
-  let hb400c = Racedetect.Hb.build ~index:`Closure t400 in
+  let hb400c = Oracle.Closure.hb1 hb400v in
   let hbhugev = Racedetect.Hb.build thuge in
-  let hbhugec = Racedetect.Hb.build ~index:`Closure thuge in
+  let hbhugec = Oracle.Closure.hb1 hbhugev in
   let hbxlv = Racedetect.Hb.build txl in
+  (* the *-closure rows time the test oracle: hb1 = the bitset closure
+     of the po/so1 graph, races = its all-pairs scan, analyze = both plus
+     the closure of G′ *)
+  let closure_hb1 t = Oracle.Closure.hb1 (Racedetect.Hb.build t) in
   (* fence pipeline inputs: the delay-set rows reuse a precomputed lint
      report so they time the critical-cycle enumeration alone; the plan
      rows run the whole synthesis (lint fixpoint + delay set + greedy
@@ -978,15 +981,15 @@ let perf () =
       Test.make ~name:"hb1-vclock/queue400"
         (Staged.stage (fun () -> ignore (Racedetect.Hb.build t400)));
       Test.make ~name:"hb1-closure/queue400"
-        (Staged.stage (fun () -> ignore (Racedetect.Hb.build ~index:`Closure t400)));
+        (Staged.stage (fun () -> ignore (closure_hb1 t400)));
       Test.make ~name:"hb1-vclock/rand-8x100"
         (Staged.stage (fun () -> ignore (Racedetect.Hb.build thuge)));
       Test.make ~name:"hb1-closure/rand-8x100"
-        (Staged.stage (fun () -> ignore (Racedetect.Hb.build ~index:`Closure thuge)));
+        (Staged.stage (fun () -> ignore (closure_hb1 thuge)));
       Test.make ~name:"hb1-vclock/rand-8x400"
         (Staged.stage (fun () -> ignore (Racedetect.Hb.build txl)));
       Test.make ~name:"hb1-closure/rand-8x400"
-        (Staged.stage (fun () -> ignore (Racedetect.Hb.build ~index:`Closure txl)));
+        (Staged.stage (fun () -> ignore (closure_hb1 txl)));
       (* races-vclock = the reference pair-scan engine over the vclock
          index; races-epoch = the epoch-compressed engine (what
          Race.find_all now dispatches to on acyclic hb1) *)
@@ -995,13 +998,13 @@ let perf () =
       Test.make ~name:"races-epoch/queue400"
         (Staged.stage (fun () -> ignore (Racedetect.Race.find_all hb400v)));
       Test.make ~name:"races-closure/queue400"
-        (Staged.stage (fun () -> ignore (Racedetect.Race.find_all hb400c)));
+        (Staged.stage (fun () -> ignore (Oracle.Closure.races hb400c)));
       Test.make ~name:"races-vclock/rand-8x100"
         (Staged.stage (fun () -> ignore (Racedetect.Race.find_all_vector hbhugev)));
       Test.make ~name:"races-epoch/rand-8x100"
         (Staged.stage (fun () -> ignore (Racedetect.Race.find_all hbhugev)));
       Test.make ~name:"races-closure/rand-8x100"
-        (Staged.stage (fun () -> ignore (Racedetect.Race.find_all hbhugec)));
+        (Staged.stage (fun () -> ignore (Oracle.Closure.races hbhugec)));
       Test.make ~name:"races-vclock/rand-8x400"
         (Staged.stage (fun () -> ignore (Racedetect.Race.find_all_vector hbxlv)));
       Test.make ~name:"races-epoch/rand-8x400"
@@ -1014,7 +1017,7 @@ let perf () =
         (Staged.stage (fun () -> ignore (Racedetect.Postmortem.analyze thuge)));
       Test.make ~name:"analyze-closure/rand-8x100"
         (Staged.stage (fun () ->
-             ignore (Racedetect.Postmortem.analyze ~index:`Closure thuge)));
+             ignore (Oracle.Closure.analyze thuge)));
       (* full pipeline under the SHB reporting order: hb1 analysis plus rf
          reconstruction and the staged-clock extras pass *)
       Test.make ~name:"shb/queue400"
@@ -1024,9 +1027,9 @@ let perf () =
         (Staged.stage (fun () ->
              ignore (Racedetect.Postmortem.analyze ~order:`Shb thuge)));
       Test.make ~name:"onthefly/queue400"
-        (Staged.stage (fun () -> ignore (Racedetect.Onthefly.detect e400)));
+        (Staged.stage (fun () -> ignore (Oracle.Onthefly.detect e400)));
       Test.make ~name:"onthefly/random-big"
-        (Staged.stage (fun () -> ignore (Racedetect.Onthefly.detect ebig)));
+        (Staged.stage (fun () -> ignore (Oracle.Onthefly.detect ebig)));
       Test.make ~name:"codec-encode/queue400"
         (Staged.stage (fun () -> ignore (Tracing.Codec.encode t400)));
       Test.make ~name:"codec-decode/queue400"

@@ -2,7 +2,6 @@ type t = {
   hb : Hb.t;
   races : Race.t list;
   graph : Graphlib.Digraph.t;
-  reach : Graphlib.Reach.t;
 }
 
 let build hb races =
@@ -12,24 +11,8 @@ let build hb races =
       Graphlib.Digraph.add_edge g r.Race.a r.Race.b;
       Graphlib.Digraph.add_edge g r.Race.b r.Race.a)
     races;
-  { hb; races; graph = g; reach = Graphlib.Reach.compute g }
+  { hb; races; graph = g }
 
 let hb t = t.hb
 let races t = t.races
 let graph t = t.graph
-let reach t = t.reach
-
-let affects_event t (r : Race.t) eid =
-  Graphlib.Reach.reaches t.reach r.Race.a eid
-  || Graphlib.Reach.reaches t.reach r.Race.b eid
-
-let affects t r1 (r2 : Race.t) =
-  affects_event t r1 r2.Race.a || affects_event t r1 r2.Race.b
-
-let unaffected_data_races t =
-  let data = Race.data_races t.races in
-  List.filter
-    (fun r ->
-      not
-        (List.exists (fun r' -> (not (Race.equal r r')) && affects t r' r) data))
-    data

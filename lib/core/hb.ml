@@ -1,99 +1,43 @@
-type index =
-  | Clocks of { clocks : Vclock.t array; order : int array }
-      (* acyclic hb1: per-event vector clock; ordering queries are an O(1)
-         component comparison.  [order] is the topological order the
-         clocks were computed in — the processing order of the
-         epoch-compressed race engine, which must see events in an
-         hb1-consistent sequence (eids are assigned per-processor block
-         by the tracer and are NOT topological). *)
-  | Closure of Graphlib.Reach.t
-      (* cyclic hb1 (possible on weak executions, §3.1) or forced by the
-         caller: SCC condensation + bitset transitive closure *)
-
 type t = {
   trace : Tracing.Trace.t;
   graph : Graphlib.Digraph.t;
-  index : index;
-  mutable reach : Graphlib.Reach.t option;  (* cached; see [reach] *)
+  index : Chainclock.t;
 }
 
-(* One forward pass in topological order: an event's clock is the join of
-   its predecessors' clocks with its own processor component incremented.
-   Event [a] then happens-before event [b] iff [b]'s clock has seen [a]'s
-   increment of proc(a)'s component — a single integer comparison.  The
-   po chains give the clocks width n_procs; so1 edges are the recorded
-   release→acquire pairs.  Total cost O(n·P + m·P) time and O(n·P) space,
-   replacing the O(n·m/64) time / O(n²/64) space bitset closure. *)
-let clocks_of_graph (trace : Tracing.Trace.t) g order =
-  let n = Graphlib.Digraph.n_nodes g in
-  let n_procs = trace.Tracing.Trace.n_procs in
-  let clocks = Array.init n (fun _ -> Vclock.make n_procs) in
-  List.iter
-    (fun u ->
-      (* all predecessors of [u] are finalized, so joining forward from
-         [u] after its own tick keeps every clock exclusively owned *)
-      Vclock.tick_into clocks.(u) trace.Tracing.Trace.events.(u).Tracing.Event.proc;
-      Graphlib.Digraph.iter_succ g u (fun v -> Vclock.join_into clocks.(v) clocks.(u)))
-    order;
-  clocks
-
-let build ?(so1 = `Recorded) ?(index = `Auto) (trace : Tracing.Trace.t) =
+let build ?(so1 = `Recorded) (trace : Tracing.Trace.t) =
   let n = Array.length trace.Tracing.Trace.events in
   let g = Graphlib.Digraph.create n in
+  let rows =
+    Array.map
+      (Array.map (fun (ev : Tracing.Event.t) -> ev.Tracing.Event.eid))
+      trace.Tracing.Trace.by_proc
+  in
   (* program order: consecutive events of each processor *)
   Array.iter
-    (fun evs ->
-      for i = 0 to Array.length evs - 2 do
-        Graphlib.Digraph.add_edge g evs.(i).Tracing.Event.eid evs.(i + 1).Tracing.Event.eid
+    (fun row ->
+      for i = 0 to Array.length row - 2 do
+        Graphlib.Digraph.add_edge g row.(i) row.(i + 1)
       done)
-    trace.Tracing.Trace.by_proc;
+    rows;
   let pairs =
     match so1 with
     | `Recorded -> trace.Tracing.Trace.so1
     | `Reconstructed -> Tracing.Trace.so1_reconstruct trace
   in
   List.iter (fun (rel, acq) -> Graphlib.Digraph.add_edge g rel acq) pairs;
-  match index with
-  | `Closure ->
-    let r = Graphlib.Reach.compute g in
-    { trace; graph = g; index = Closure r; reach = Some r }
-  | `Auto -> (
-    match Graphlib.Digraph.topological_order g with
-    | Some order ->
-      let clocks = clocks_of_graph trace g order in
-      { trace; graph = g;
-        index = Clocks { clocks; order = Array.of_list order };
-        reach = None }
-    | None ->
-      (* a cycle: vector clocks cannot represent mutual reachability *)
-      let r = Graphlib.Reach.compute g in
-      { trace; graph = g; index = Closure r; reach = Some r })
+  { trace; graph = g; index = Chainclock.build g rows }
 
 let trace t = t.trace
 let graph t = t.graph
 
-let uses_clocks t = match t.index with Clocks _ -> true | Closure _ -> false
+(* the basis's order is the processing order of the epoch-compressed
+   race engine, which must see events in an hb1-consistent sequence
+   (eids are assigned per-processor block by the tracer and are NOT
+   topological) *)
+let epoch_basis t = Chainclock.basis t.index
 
-let epoch_basis t =
-  match t.index with
-  | Clocks { clocks; order } -> Some (clocks, order)
-  | Closure _ -> None
+let uses_clocks t = epoch_basis t <> None
 
-let reach t =
-  match t.reach with
-  | Some r -> r
-  | None ->
-    let r = Graphlib.Reach.compute t.graph in
-    t.reach <- Some r;
-    r
-
-let happens_before t a b =
-  a <> b
-  &&
-  match t.index with
-  | Clocks { clocks; _ } ->
-    let pa = t.trace.Tracing.Trace.events.(a).Tracing.Event.proc in
-    Vclock.get clocks.(b) pa >= Vclock.get clocks.(a) pa
-  | Closure r -> Graphlib.Reach.reaches r a b
+let happens_before t a b = a <> b && Chainclock.reaches t.index a b
 
 let ordered t a b = happens_before t a b || happens_before t b a

@@ -4,26 +4,22 @@
     [hb1 = (po ∪ so1)+]: program order within each processor, plus an edge
     from each release event to every acquire event it paired with.
 
-    Ordering queries are answered from a vector-clock index built in one
-    forward pass over the trace — O(n·P) space, O(1) per query — whenever
-    hb1 is acyclic (every execution in practice).  On a weak execution hb1
-    {e need not be a partial order} (§3.1): if a cycle is present the
-    index falls back to the SCC-condensation bitset closure, which
-    tolerates cycles by construction. *)
+    Ordering queries are answered by a {!Chainclock} index over the
+    processors' po rows — one vector clock per strongly connected
+    component, O(n·P) space, O(1) per query.  On a weak execution hb1
+    {e need not be a partial order} (§3.1); the index is exact on
+    cyclic graphs too, where two events of one cycle happen before each
+    other. *)
 
 type t
 
-val build :
-  ?so1:[ `Recorded | `Reconstructed ] -> ?index:[ `Auto | `Closure ] -> Tracing.Trace.t -> t
+val build : ?so1:[ `Recorded | `Reconstructed ] -> Tracing.Trace.t -> t
 (** [so1 = `Recorded] (default) uses the pairing the tracer logged;
     [`Reconstructed] rebuilds so1 from the per-location synchronization
     order, as a purely post-mortem analyzer must
-    ({!Tracing.Trace.so1_reconstruct}).
-
-    [index = `Auto] (default) uses the vector-clock index when hb1 is
-    acyclic and the transitive closure otherwise; [`Closure] forces the
-    closure — the reference implementation the property tests compare
-    against. *)
+    ({!Tracing.Trace.so1_reconstruct}).  An event listed in no
+    [by_proc] row (a salvage stand-in for a lost event) is ordered with
+    nothing. *)
 
 val trace : t -> Tracing.Trace.t
 
@@ -31,23 +27,18 @@ val graph : t -> Graphlib.Digraph.t
 (** One node per event ([eid]); po and so1 edges. *)
 
 val uses_clocks : t -> bool
-(** Whether ordering queries go through the vector-clock fast path. *)
+(** Whether hb1 is acyclic, i.e. {!epoch_basis} is [Some]. *)
 
 val epoch_basis : t -> (Vclock.t array * int array) option
-(** The per-event vector clocks and the topological order they were
-    computed in — the inputs of the epoch-compressed race engine
-    ({!Race.find_all}) and of the SHB index ({!Shb.build}).  [None] on
-    the closure fallback (cyclic hb1 or [index = `Closure]).  Both
-    arrays are owned by the index: treat them as read-only. *)
-
-val reach : t -> Graphlib.Reach.t
-(** The bitset transitive closure, computed on first use and cached.
-    Ordering queries never need it on the vclock path; it exists for
-    callers that want whole-graph reachability. *)
+(** The per-event vector clocks and the topological order
+    ([Digraph.topological_order]) they were computed in — the inputs of
+    the epoch-compressed race engine ({!Race.find_all}) and of the SHB
+    index ({!Shb.build}).  [None] when hb1 is cyclic.  Both arrays are
+    owned by the index: treat them as read-only. *)
 
 val happens_before : t -> int -> int -> bool
 (** [happens_before t a b]: a path of po/so1 edges leads from event [a]
-    to event [b].  Irreflexive on acyclic graphs; on a cyclic weak
+    to event [b ≠ a].  Irreflexive on acyclic graphs; on a cyclic weak
     execution two events can "happen before" each other. *)
 
 val ordered : t -> int -> int -> bool

@@ -1,32 +1,33 @@
 type t = {
   exec : Memsim.Exec.t;
   graph : Graphlib.Digraph.t;
-  reach : Graphlib.Reach.t;
+  rows : int array array;  (* op ids per processor, program order *)
+  index : Chainclock.t;
   mutable races_cache : (int * int) list option;
-  mutable aug_cache : Graphlib.Reach.t option;
+  mutable aug_cache : Chainclock.t option;
 }
 
 let build (e : Memsim.Exec.t) =
   let n = Memsim.Exec.n_ops e in
   let g = Graphlib.Digraph.create n in
+  let rows = Array.map (Array.map (fun (o : Memsim.Op.t) -> o.Memsim.Op.id)) e.Memsim.Exec.by_proc in
   Array.iter
-    (fun ops ->
-      for i = 0 to Array.length ops - 2 do
-        Graphlib.Digraph.add_edge g ops.(i).Memsim.Op.id ops.(i + 1).Memsim.Op.id
+    (fun row ->
+      for i = 0 to Array.length row - 2 do
+        Graphlib.Digraph.add_edge g row.(i) row.(i + 1)
       done)
-    e.Memsim.Exec.by_proc;
+    rows;
   List.iter
     (fun ((rel : Memsim.Op.t), (acq : Memsim.Op.t)) ->
       Graphlib.Digraph.add_edge g rel.Memsim.Op.id acq.Memsim.Op.id)
     (Memsim.Exec.so1_pairs e);
-  { exec = e; graph = g; reach = Graphlib.Reach.compute g; races_cache = None;
+  { exec = e; graph = g; rows; index = Chainclock.build g rows; races_cache = None;
     aug_cache = None }
 
 let exec t = t.exec
 let graph t = t.graph
-let reach t = t.reach
 
-let happens_before t a b = a <> b && Graphlib.Reach.reaches t.reach a b
+let happens_before t a b = a <> b && Chainclock.reaches t.index a b
 let ordered t a b = happens_before t a b || happens_before t b a
 
 let races t =
@@ -56,6 +57,7 @@ let is_data_race t (a, b) =
 
 let data_races t = List.filter (is_data_race t) (races t)
 
+(* G′ keeps hb1's po rows, so the same construction indexes it *)
 let augmented t =
   match t.aug_cache with
   | Some r -> r
@@ -66,18 +68,12 @@ let augmented t =
         Graphlib.Digraph.add_edge g a b;
         Graphlib.Digraph.add_edge g b a)
       (races t);
-    let r = Graphlib.Reach.compute g in
+    let r = Chainclock.build g t.rows in
     t.aug_cache <- Some r;
     r
 
 let affects_op t (x, y) z =
   let r = augmented t in
-  Graphlib.Reach.reaches r x z || Graphlib.Reach.reaches r y z
+  Chainclock.reaches r x z || Chainclock.reaches r y z
 
 let affects t r1 (x2, y2) = affects_op t r1 x2 || affects_op t r1 y2
-
-let unaffected_data_races t =
-  let data = data_races t in
-  List.filter
-    (fun r -> not (List.exists (fun r' -> r' <> r && affects t r' r) data))
-    data

@@ -9,10 +9,11 @@
 type t
 
 val build : Memsim.Exec.t -> t
+(** The op graph and its {!Chainclock} index over the processors' rows:
+    O((n + m)·P). *)
 
 val exec : t -> Memsim.Exec.t
 val graph : t -> Graphlib.Digraph.t
-val reach : t -> Graphlib.Reach.t
 
 val happens_before : t -> int -> int -> bool
 val ordered : t -> int -> int -> bool
@@ -22,16 +23,11 @@ val races : t -> (int * int) list
 
 val data_races : t -> (int * int) list
 
-val augmented : t -> Graphlib.Reach.t
-(** Reachability in the operation-level G′ (hb1 plus doubly-directed
-    edges for {e all} races); computed lazily and cached. *)
-
 val affects_op : t -> int * int -> int -> bool
-(** Definition 3.3: race [(x, y)] affects operation [z]. *)
+(** Definition 3.3: race [(x, y)] affects operation [z].  Answered from
+    a {!Chainclock} index over the operation-level G′ (hb1 plus
+    doubly-directed edges for {e all} races), built on first use and
+    cached. *)
 
 val affects : t -> int * int -> int * int -> bool
 (** Race affects race (includes a race affecting itself). *)
-
-val unaffected_data_races : t -> (int * int) list
-(** Data races not affected by any other data race — the operation-level
-    "first races" of Condition 3.4(2). *)

@@ -7,6 +7,11 @@
     4.1).  A partition is {e first} when no other partition containing a
     data race is ordered before it.
 
+    The report needs only that one fact per partition, so {!compute}
+    runs one SCC pass over G′ and one forward pass over the condensation
+    propagating "reached from a data-race component": O(V + E) time and
+    space, with no all-pairs closure.
+
     Theorem 4.1: there are no first partitions containing data races iff
     the execution exhibited no data races.
     Theorem 4.2: each first partition contains at least one data race
@@ -30,9 +35,6 @@ val partitions : t -> partition list
 val first_partitions : t -> partition list
 
 val non_first_partitions : t -> partition list
-
-val ordered_before : t -> partition -> partition -> bool
-(** Definition 4.1: a G′ path leads from [p1] into [p2]. *)
 
 val reported_races : t -> Race.t list
 (** The data races of the first partitions — the detector's output. *)

@@ -14,16 +14,16 @@ let shb_extra_of hb partitions = function
   | `Hb1 -> []
   | `Shb -> Shb.extra_races (Shb.build hb) partitions
 
-let analyze ?so1 ?index ?(order = `Hb1) trace =
-  let hb = Hb.build ?so1 ?index trace in
+let analyze ?so1 ?(order = `Hb1) trace =
+  let hb = Hb.build ?so1 trace in
   let races = Race.find_all hb in
   let augmented = Augment.build hb races in
   let partitions = Partition.compute augmented in
   let shb_extra = shb_extra_of hb partitions order in
   { trace; hb; races; augmented; partitions; order; shb_extra }
 
-let analyze_execution ?so1 ?index ?order e =
-  analyze ?so1 ?index ?order (Tracing.Trace.of_execution e)
+let analyze_execution ?so1 ?order e =
+  analyze ?so1 ?order (Tracing.Trace.of_execution e)
 
 let with_order order a =
   { a with order; shb_extra = shb_extra_of a.hb a.partitions order }

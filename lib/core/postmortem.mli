@@ -24,19 +24,16 @@ type analysis = {
 
 val analyze :
   ?so1:[ `Recorded | `Reconstructed ] ->
-  ?index:[ `Auto | `Closure ] ->
   ?order:order ->
   Tracing.Trace.t ->
   analysis
-(** [index] selects the hb1 ordering index ({!Hb.build}): the default
-    [`Auto] answers race queries from the O(n·P) vector-clock index with
-    no full-trace transitive closure on the hot path; [`Closure] forces
-    the reference bitset closure.  [order] (default [`Hb1]) selects the
-    reporting order; see {!order}. *)
+(** [so1] as in {!Hb.build}; [order] (default [`Hb1]) selects the
+    reporting order, see {!order}.  No stage builds an all-pairs
+    closure: hb1 is an O(n·P) clock index, races come from the epoch
+    engine, and partitions from one SCC pass over G′. *)
 
 val analyze_execution :
   ?so1:[ `Recorded | `Reconstructed ] ->
-  ?index:[ `Auto | `Closure ] ->
   ?order:order ->
   Memsim.Exec.t ->
   analysis

@@ -7,7 +7,7 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: quadratic per-location pair scan over the full
-   vector-clock (or closure) index.  Kept verbatim as the differential
+   hb1 index.  Kept verbatim as the differential
    baseline for the epoch engine — the property tests and the
    races-vclock bench rows run it — and as the fallback when hb1 is
    cyclic and no clock basis exists.                                   *)

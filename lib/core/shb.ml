@@ -1,11 +1,8 @@
-type index =
-  | Staged of { pre : Vclock.t array; full : Vclock.t array; pos : int array }
-  | Closure of Graphlib.Reach.t
+type staged = { pre : Vclock.t array; full : Vclock.t array; pos : int array }
 
 type t = {
   hb : Hb.t;
-  rf : (int * int) list;
-  index : index;
+  staged : staged option;  (* [None] on cyclic hb1: shb is hb1 *)
 }
 
 (* Canonical reads-from reconstruction: walk the hb1-consistent
@@ -62,26 +59,24 @@ let build hb =
   let trace = Hb.trace hb in
   match Hb.epoch_basis hb with
   | None ->
-    (* cyclic hb1: no linearization, no rf; shb falls back to hb1's own
-       closure, so every suppressed race counts as predicted *)
-    { hb; rf = []; index = Closure (Hb.reach hb) }
+    (* cyclic hb1: no linearization, no rf; shb is hb1 itself, so every
+       suppressed race counts as predicted *)
+    { hb; staged = None }
   | Some (_, order) ->
     let rf = reconstruct_rf trace order in
     let rf_succ = Array.make (Array.length trace.Tracing.Trace.events) [] in
     List.iter (fun (w, r) -> rf_succ.(w) <- r :: rf_succ.(w)) rf;
     let pre, full, pos = staged_clocks trace (Hb.graph hb) rf_succ order in
-    { hb; rf; index = Staged { pre; full; pos } }
-
-let rf t = t.rf
+    { hb; staged = Some { pre; full; pos } }
 
 let ordered t a b =
-  a <> b
-  &&
-  match t.index with
-  | Closure r -> Graphlib.Reach.reaches r a b || Graphlib.Reach.reaches r b a
-  | Staged { pre; full; pos } ->
+  match t.staged with
+  | None -> Hb.ordered t.hb a b
+  | Some { pre; full; pos } ->
     (* the earlier event in the linearization is the only possible
        predecessor; the later one is checked with its pre-rf clock *)
+    a <> b
+    &&
     let x, y = if pos.(a) <= pos.(b) then (a, b) else (b, a) in
     let trace = Hb.trace t.hb in
     let px = trace.Tracing.Trace.events.(x).Tracing.Event.proc in
@@ -93,11 +88,3 @@ let extra_races t partitions =
   |> List.filter (fun (r : Race.t) -> not (ordered t r.Race.a r.Race.b))
   |> List.sort (fun (r1 : Race.t) (r2 : Race.t) ->
          compare (r1.Race.a, r1.Race.b) (r2.Race.a, r2.Race.b))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>shb (%d rf edge%s%s)"
-    (List.length t.rf)
-    (if List.length t.rf = 1 then "" else "s")
-    (match t.index with Staged _ -> "" | Closure _ -> ", closure fallback");
-  List.iter (fun (w, r) -> Format.fprintf ppf "@,  rf E%d->E%d" w r) t.rf;
-  Format.fprintf ppf "@]"

@@ -29,14 +29,11 @@
 type t
 
 val build : Hb.t -> t
-(** Reconstruct rf and index shb over [hb]'s trace.  On cyclic hb1 (no
-    clock basis) no rf edge is reconstructable and shb degenerates to
-    hb1's closure — {!extra_races} then predicts every suppressed
-    race, the conservative direction. *)
-
-val rf : t -> (int * int) list
-(** The reconstructed reads-from edges (writer eid, reader eid), in
-    linearization order. *)
+(** Reconstruct rf and index shb over [hb]'s trace: two more clock
+    arrays, O(n·P).  On cyclic hb1 (no clock basis) no rf edge is
+    reconstructable and shb degenerates to hb1 itself, answered by
+    {!Hb.ordered} — {!extra_races} then predicts every suppressed race,
+    the conservative direction. *)
 
 val ordered : t -> int -> int -> bool
 (** Comparable under shb in either direction, with the staged read
@@ -48,5 +45,3 @@ val extra_races : t -> Partition.t -> Race.t list
     sorted by [(a, b)].  Disjoint from {!Partition.reported_races} by
     construction, so the SHB race set strictly contains the hb1 set
     whenever this is non-empty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -449,7 +449,21 @@ let finish_cyclic t (s : Codec.sizes) =
       sync_order = List.rev t.sync_order;
     }
   in
-  (Postmortem.analyze ~so1:`Recorded ~index:`Auto trace, stats_of t)
+  (Postmortem.analyze ~so1:`Recorded trace, stats_of t)
+
+(* The batch pipeline's last stages over a skeleton trace whose races
+   the engine already found, in the order the batch pipeline reports
+   them. *)
+let skeleton_analysis t trace =
+  let hb = Hb.build ~so1:`Recorded trace in
+  let races =
+    List.sort
+      (fun (r1 : Race.t) (r2 : Race.t) -> compare (r1.Race.a, r1.Race.b) (r2.Race.a, r2.Race.b))
+      t.races
+  in
+  let augmented = Augment.build hb races in
+  let partitions = Partition.compute augmented in
+  { Postmortem.trace; hb; races; augmented; partitions; order = `Hb1; shb_extra = [] }
 
 let finish t =
   try
@@ -512,18 +526,7 @@ let finish t =
           sync_order = List.rev t.sync_order;
         }
       in
-      let hb = Hb.build ~so1:`Recorded ~index:`Auto trace in
-      let races =
-        List.sort
-          (fun (r1 : Race.t) (r2 : Race.t) -> compare (r1.Race.a, r1.Race.b) (r2.Race.a, r2.Race.b))
-          t.races
-      in
-      let augmented = Augment.build hb races in
-      let partitions = Partition.compute augmented in
-      Ok
-        ( { Postmortem.trace; hb; races; augmented; partitions; order = `Hb1;
-            shb_extra = [] },
-          stats_of t )
+      Ok (skeleton_analysis t trace, stats_of t)
     end
   with Fail msg -> Error msg
 
@@ -562,9 +565,9 @@ let compute_gaps t (s : Codec.sizes) =
    produces a [Degraded] verdict over the surviving events: so1 edges
    whose endpoint never arrived are dropped (an acquire must not wait
    forever for a lost release), lost event ids become isolated dummy
-   nodes with {e no} hb1 edges at all, and the ordering index is forced
-   to the reference closure — isolated nodes would corrupt the vector-
-   clock index, which assigns ticks by processor.  Removing events and
+   nodes with {e no} hb1 edges at all, listed in no by_proc row, so the
+   hb1 index orders them with nothing (a chain index is a position in
+   the surviving row, not a [seq]).  Removing events and
    edges from hb1 can only enlarge the set of unordered conflicting
    pairs, so the degraded report may over-report races among survivors
    but never under-reports them. *)
@@ -678,14 +681,13 @@ let finish_salvaged t ~decode_losses =
             by_proc
         in
         let analysis =
-          Postmortem.analyze ~so1:`Recorded ~index:`Closure (mk_trace events by_proc)
+          Postmortem.analyze ~so1:`Recorded (mk_trace events by_proc)
         in
         Ok (Postmortem.Degraded { analysis; loss }, stats_of t)
       end
       else begin
         (* skeleton rebuild, as in {!finish}, but lost ids are isolated
-           dummies (absent from every by_proc row) and the index is the
-           reference closure *)
+           dummies (absent from every by_proc row) *)
         let events =
           Array.init s.n_events (fun eid ->
               match Hashtbl.find_opt t.pinned eid with
@@ -697,20 +699,7 @@ let finish_salvaged t ~decode_losses =
             (fun eids -> Array.of_list (List.rev_map (fun eid -> events.(eid)) eids))
             t.proc_eids
         in
-        let trace = mk_trace events by_proc in
-        let hb = Hb.build ~so1:`Recorded ~index:`Closure trace in
-        let races =
-          List.sort
-            (fun (r1 : Race.t) (r2 : Race.t) ->
-              compare (r1.Race.a, r1.Race.b) (r2.Race.a, r2.Race.b))
-            t.races
-        in
-        let augmented = Augment.build hb races in
-        let partitions = Partition.compute augmented in
-        let analysis =
-          { Postmortem.trace; hb; races; augmented; partitions; order = `Hb1;
-            shb_extra = [] }
-        in
+        let analysis = skeleton_analysis t (mk_trace events by_proc) in
         Ok (Postmortem.Degraded { analysis; loss }, stats_of t)
       end
     end

@@ -88,10 +88,9 @@ val finish_salvaged :
     losses, no dropped records, no missing events — this is exactly
     {!finish} and the report is byte-identical to batch.  Otherwise the
     verdict is [Degraded]: so1 edges with a lost endpoint are dropped,
-    lost event ids become isolated nodes with {e no} hb1 edges (so no
-    ordering is ever invented through a gap; the index is forced to the
-    reference closure because isolated nodes would corrupt the
-    vector-clock index), and the loss summary records decode losses,
+    lost event ids become isolated nodes with {e no} hb1 edges, listed
+    in no po row (so no ordering is ever invented through a gap), and
+    the loss summary records decode losses,
     missing events, per-processor sequence gaps, and dropped records and
     edges.  Removing events and edges can only enlarge the set of
     unordered conflicting pairs, so a degraded report may over-report

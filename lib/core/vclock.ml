@@ -15,6 +15,8 @@ let tick t p =
 
 let tick_into t p = t.(p) <- t.(p) + 1
 
+let max_into t p v = if v > t.(p) then t.(p) <- v
+
 let blit src dst = Array.blit src 0 dst 0 (Array.length src)
 
 let join a b = Array.init (Array.length a) (fun i -> max a.(i) b.(i))

@@ -31,6 +31,10 @@ val tick : t -> int -> t
 val tick_into : t -> int -> unit
 (** Increment one component in place.  Only on exclusively-owned clocks. *)
 
+val max_into : t -> int -> int -> unit
+(** [max_into t p v] raises component [p] to at least [v] in place.
+    Only on exclusively-owned clocks. *)
+
 val join : t -> t -> t
 (** Componentwise maximum (persistent). *)
 

@@ -44,7 +44,7 @@ val of_edges : int -> (int * int) list -> t
 val has_path : t -> int -> int -> bool
 (** [has_path g u v] is true iff a (possibly empty) directed path leads
     from [u] to [v]; every node reaches itself.  Linear-time DFS — for
-    repeated queries build a {!Reach.t} instead. *)
+    repeated queries build an index instead. *)
 
 val topological_order : t -> int list option
 (** [Some order] lists the nodes such that every edge goes from an earlier

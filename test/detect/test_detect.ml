@@ -3,6 +3,7 @@
    (Theorem 3.5) and Theorems 4.1/4.2, plus the on-the-fly detector. *)
 
 open Racedetect
+open Oracle
 
 let run ?(model = Memsim.Model.WO) ~seed p =
   Minilang.Interp.run ~model ~sched:(Memsim.Sched.adversarial ~seed ()) p
@@ -163,7 +164,9 @@ let test_queue_bug_partitions_match_figure3 () =
 let test_queue_bug_unaffected_races_are_first () =
   let e = find_stale_execution () in
   let a = Postmortem.analyze_execution e in
-  let unaffected = Augment.unaffected_data_races a.Postmortem.augmented in
+  let unaffected =
+    Closure.unaffected_data_races (Closure.augmented a.Postmortem.augmented)
+  in
   Alcotest.(check bool) "unaffected races exist" true (unaffected <> []);
   let reported = Postmortem.reported_races a in
   List.iter
@@ -179,14 +182,14 @@ let test_queue_bug_unaffected_races_are_first () =
 let test_affects_reflexive_like_and_downstream () =
   let e = find_stale_execution () in
   let a = Postmortem.analyze_execution e in
-  let aug = a.Postmortem.augmented in
+  let aug = Closure.augmented a.Postmortem.augmented in
   let data = Race.data_races a.Postmortem.races in
   List.iter
     (fun r ->
       Alcotest.(check bool) "a race affects itself (clause 1)" true
-        (Augment.affects aug r r);
+        (Closure.affects aug r r);
       Alcotest.(check bool) "a race affects its own endpoints" true
-        (Augment.affects_event aug r r.Race.a && Augment.affects_event aug r r.Race.b))
+        (Closure.affects_event aug r r.Race.a && Closure.affects_event aug r r.Race.b))
     data;
   (* the Q/QEmpty race affects the downstream region races but not
      conversely *)
@@ -199,9 +202,9 @@ let test_affects_reflexive_like_and_downstream () =
       List.iter
         (fun rr ->
           Alcotest.(check bool) "queue race affects region race" true
-            (Augment.affects aug qr rr);
+            (Closure.affects aug qr rr);
           Alcotest.(check bool) "region race does not affect queue race" false
-            (Augment.affects aug rr qr))
+            (Closure.affects aug rr qr))
         region_races)
     queue_races
 
@@ -234,13 +237,13 @@ let prop_partition_order_is_strict =
       let p = Minilang.Gen.random_racy ~seed () in
       let a = analyze ~seed:(seed + 7) p in
       let parts = Partition.partitions a.Postmortem.partitions in
-      let t = a.Postmortem.partitions in
+      let t = Closure.augmented a.Postmortem.augmented in
       List.for_all
         (fun p1 ->
-          (not (Partition.ordered_before t p1 p1))
+          (not (Closure.ordered_before t p1 p1))
           && List.for_all
                (fun p2 ->
-                 not (Partition.ordered_before t p1 p2 && Partition.ordered_before t p2 p1))
+                 not (Closure.ordered_before t p1 p2 && Closure.ordered_before t p2 p1))
                parts)
         parts)
 
@@ -252,8 +255,9 @@ let prop_first_partitions_are_minimal =
       let a = analyze ~seed:(seed + 3) p in
       let t = a.Postmortem.partitions in
       let parts = Partition.partitions t in
+      let g' = Closure.augmented a.Postmortem.augmented in
       List.for_all
-        (fun f -> not (List.exists (fun q -> Partition.ordered_before t q f) parts))
+        (fun f -> not (List.exists (fun q -> Closure.ordered_before g' q f) parts))
         (Partition.first_partitions t))
 
 let prop_unaffected_races_live_in_first_partitions =
@@ -265,7 +269,7 @@ let prop_unaffected_races_live_in_first_partitions =
       let reported = Postmortem.reported_races a in
       List.for_all
         (fun r -> List.exists (Race.equal r) reported)
-        (Augment.unaffected_data_races a.Postmortem.augmented))
+        (Closure.unaffected_data_races (Closure.augmented a.Postmortem.augmented)))
 
 (* ------------------------------------------------------------------ *)
 (* SCP machinery                                                        *)

@@ -2,6 +2,7 @@
    the lockset baseline, and the SCP-replay debugger. *)
 
 open Racedetect
+open Oracle
 
 let run ?(model = Memsim.Model.WO) ~seed p =
   Minilang.Interp.run ~model ~sched:(Memsim.Sched.adversarial ~seed ()) p

@@ -1,7 +1,9 @@
-(* Tests for the graph substrate: bit sets, digraphs, Tarjan SCC and the
-   reachability closure used by every happens-before query. *)
+(* Tests for the graph substrate: bit sets, digraphs, Tarjan SCC, and
+   the chain-clock reachability index every happens-before query uses,
+   checked against per-query DFS and the closure oracle. *)
 
 open Graphlib
+open Oracle
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
@@ -226,18 +228,66 @@ let arb_graph =
         (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges)))
     gen
 
+(* A chain-covered graph, the shape every hb1 graph and G′ has: nodes
+   are dealt to up to four rows (in random order) or left isolated in
+   none; each row is a chain of edges, and random cross edges join row
+   members, so cycles are common. *)
+let arb_chain_graph =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 20 in
+      let* perm = shuffle_l (List.init n Fun.id) in
+      let* slots = list_size (return n) (int_bound 4) in
+      let* m = int_bound 30 in
+      let* cross = list_size (return m) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+      let slot = Array.of_list slots in
+      let rows =
+        Array.init 4 (fun r -> Array.of_list (List.filter (fun u -> slot.(u) = r) perm))
+      in
+      let chains =
+        Array.to_list rows
+        |> List.concat_map (fun row ->
+               List.init (max 0 (Array.length row - 1)) (fun i -> (row.(i), row.(i + 1))))
+      in
+      let cross = List.filter (fun (u, v) -> slot.(u) < 4 && slot.(v) < 4) cross in
+      return (n, rows, chains @ cross))
+  in
+  QCheck.make
+    ~print:(fun (n, rows, edges) ->
+      Printf.sprintf "n=%d rows=[%s] edges=[%s]" n
+        (String.concat "; "
+           (Array.to_list
+              (Array.map
+                 (fun row ->
+                   String.concat "," (Array.to_list (Array.map string_of_int row)))
+                 rows)))
+        (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) edges)))
+    gen
+
+let all_pairs n f =
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if not (f u v) then ok := false
+    done
+  done;
+  !ok
+
+(* Reach against DFS on arbitrary graphs; on chain-covered ones, the
+   chain-clock index against both *)
 let prop_reach_matches_dfs =
-  QCheck.Test.make ~name:"Reach matches per-query DFS" ~count:100 arb_graph
-    (fun (n, edges) ->
+  QCheck.Test.make ~name:"Reach matches per-query DFS" ~count:200
+    (QCheck.pair arb_graph arb_chain_graph)
+    (fun ((n, edges), (cn, rows, cedges)) ->
       let g = Digraph.of_edges n edges in
       let r = Reach.compute g in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if Reach.reaches r u v <> Digraph.has_path g u v then ok := false
-        done
-      done;
-      !ok)
+      let cg = Digraph.of_edges cn cedges in
+      let cr = Reach.compute cg in
+      let c = Racedetect.Chainclock.build cg rows in
+      all_pairs n (fun u v -> Reach.reaches r u v = Digraph.has_path g u v)
+      && all_pairs cn (fun u v ->
+             let path = Digraph.has_path cg u v in
+             Reach.reaches cr u v = path && Racedetect.Chainclock.reaches c u v = path))
 
 let prop_scc_mutual_reachability =
   QCheck.Test.make ~name:"SCC iff mutually reachable" ~count:100 arb_graph

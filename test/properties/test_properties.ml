@@ -3,6 +3,7 @@
    system is entitled to assume. *)
 
 open Racedetect
+open Oracle
 
 let arb_seed = QCheck.int_bound 1_000_000
 
@@ -136,9 +137,9 @@ let prop_every_race_affected_by_a_reported_race =
       let e = random_exec case in
       let a = Postmortem.analyze_execution e in
       let reported = Postmortem.reported_races a in
+      let g' = Closure.augmented a.Postmortem.augmented in
       List.for_all
-        (fun r ->
-          List.exists (fun r' -> Augment.affects a.Postmortem.augmented r' r) reported)
+        (fun r -> List.exists (fun r' -> Closure.affects g' r' r) reported)
         (Postmortem.data_races a))
 
 let prop_first_partitions_unordered =
@@ -146,14 +147,14 @@ let prop_first_partitions_unordered =
     (fun case ->
       let e = random_exec case in
       let a = Postmortem.analyze_execution e in
-      let t = a.Postmortem.partitions in
-      let first = Partition.first_partitions t in
+      let first = Partition.first_partitions a.Postmortem.partitions in
+      let g' = Closure.augmented a.Postmortem.augmented in
       List.for_all
         (fun p1 ->
           List.for_all
             (fun p2 ->
               p1 == p2
-              || not (Partition.ordered_before t p1 p2 || Partition.ordered_before t p2 p1))
+              || not (Closure.ordered_before g' p1 p2 || Closure.ordered_before g' p2 p1))
             first)
         first)
 
@@ -221,41 +222,222 @@ let prop_vclock_leq_partial_order =
       && ((not (Vclock.leq a b && Vclock.leq b a)) || Vclock.equal a b))
 
 (* ------------------------------------------------------------------ *)
-(* hb1 index equivalence: vclock fast path vs closure reference        *)
+(* Reachability differentials: clock index vs the closure oracle       *)
 (* ------------------------------------------------------------------ *)
 
+(* The hand-written cyclic-hb1 trace of test/cli/cyclic.t: P0's and P1's
+   acquire/release pairs close the cycle E0 -> E1 -> E2 -> E3 -> E4 -> E0,
+   and P2's write races P0's inside it.  Random executions never yield a
+   cyclic hb1 and random traces only sometimes, so this case runs every
+   differential on one. *)
+let cyclic_text =
+  String.concat "\n"
+    [
+      "weakrace-trace 1"; "model WO"; "truncated 0"; "procs 3 locs 3 events 6";
+      "event 0 proc 0 seq 0 sync loc 1 kind R cls acquire value 0 slot 0 label -";
+      "event 1 proc 0 seq 1 comp reads - writes 0";
+      "event 2 proc 0 seq 2 sync loc 2 kind W cls release value 0 slot 0 label -";
+      "event 3 proc 1 seq 0 sync loc 2 kind R cls acquire value 0 slot 0 label -";
+      "event 4 proc 1 seq 1 sync loc 1 kind W cls release value 0 slot 0 label -";
+      "event 5 proc 2 seq 0 comp reads - writes 0"; "so1 4 0"; "so1 2 3"; "end 6"; "";
+    ]
+
+let cyclic_trace () =
+  match Tracing.Codec.decode cyclic_text with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "cyclic fixture: %s" e
+
+let hb_matches_closure hb =
+  let c = Closure.hb1 hb in
+  let n = Tracing.Trace.n_events (Hb.trace hb) in
+  let ok = ref true in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if Hb.happens_before hb a b <> Closure.happens_before c a b then ok := false
+    done
+  done;
+  !ok
+
+let pairs = List.map (fun (r : Race.t) -> (r.Race.a, r.Race.b))
+
+let same_races_as_oracle t =
+  let a = Postmortem.analyze t in
+  let races, first = Closure.analyze t in
+  pairs (Postmortem.data_races a) = pairs (Race.data_races races)
+  && pairs (Postmortem.reported_races a)
+     = pairs (List.concat_map (fun (p : Partition.partition) -> p.Partition.races) first)
+
+(* Def. 4.1 both ways: the one-pass first/non-first split equals the one
+   read off the G′ closure, partition for partition *)
+let partitions_match_oracle aug =
+  let t = Partition.compute aug in
+  let g' = Closure.augmented aug in
+  let first = Closure.first_partitions g' in
+  let non_first =
+    List.filter (fun p -> not (List.mem p first)) (Closure.partitions g')
+  in
+  Partition.partitions t = Closure.partitions g'
+  && Partition.first_partitions t = first
+  && Partition.non_first_partitions t = non_first
+
 let prop_vclock_index_matches_closure =
-  (* random programs × models × seeds: the O(n·P) vector-clock index must
-     answer exactly as the bitset transitive closure, on every event pair *)
+  (* random programs × models × seeds: the O(n·P) clock index must answer
+     exactly as the bitset transitive closure, on every event pair *)
   QCheck.Test.make ~name:"vclock hb1 index agrees with closure on all pairs" ~count:150
     arb_case
-    (fun case ->
-      let e = random_exec case in
-      let t = Tracing.Trace.of_execution e in
-      let hv = Hb.build t in
-      let hc = Hb.build ~index:`Closure t in
-      let n = Tracing.Trace.n_events t in
-      let ok = ref true in
-      for a = 0 to n - 1 do
-        for b = 0 to n - 1 do
-          if Hb.happens_before hv a b <> Hb.happens_before hc a b then ok := false
-        done
-      done;
-      !ok)
+    (fun case -> hb_matches_closure (Hb.build (Tracing.Trace.of_execution (random_exec case))))
 
 let prop_postmortem_same_races_both_indexes =
   QCheck.Test.make ~name:"postmortem race sets identical through both hb1 indexes"
     ~count:120 arb_case
+    (fun case -> same_races_as_oracle (Tracing.Trace.of_execution (random_exec case)))
+
+let prop_partitions_match_closure =
+  QCheck.Test.make ~name:"first and non-first partitions match the closure" ~count:150
+    arb_case
     (fun case ->
-      let e = random_exec case in
-      let t = Tracing.Trace.of_execution e in
-      let races index =
-        let a = Postmortem.analyze ~index t in
-        ( Postmortem.data_races a |> List.map (fun (r : Race.t) -> (r.Race.a, r.Race.b)),
-          Postmortem.reported_races a
-          |> List.map (fun (r : Race.t) -> (r.Race.a, r.Race.b)) )
+      partitions_match_oracle (Postmortem.analyze_execution (random_exec case)).Postmortem.augmented)
+
+(* Random event-level traces in the v1 format.  Programs from the
+   generator above rarely order one data-race partition before another,
+   and never yield a cyclic hb1; these do both.  Up to four processors
+   run computation events over data locations 0-3 and acquire/release
+   events on locks 4-5.  Each acquire pairs (so1) with a random release
+   of its lock on another processor, or with none — a pair that points
+   backward in the processors' progress closes an hb1 cycle. *)
+let arb_trace_text =
+  let bit = QCheck.Gen.(frequency [ (4, return false); (1, return true) ]) in
+  let body =
+    QCheck.Gen.(
+      quad
+        (frequency [ (1, return `Comp); (1, return `Acq); (1, return `Rel) ])
+        (int_range 4 5)
+        (pair (list_size (return 4) bit) (list_size (return 4) bit))
+        (int_bound 7))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* n_procs = int_range 2 4 in
+      let* lens = list_size (return n_procs) (int_range 1 8) in
+      let procs = List.concat (List.mapi (fun p k -> List.init k (fun i -> (p, i))) lens) in
+      let n = List.length procs in
+      let* bodies = list_size (return n) body in
+      let bodies = Array.of_list bodies in
+      let proc = Array.of_list (List.map fst procs) in
+      let set bits =
+        match List.concat (List.mapi (fun l b -> if b then [ string_of_int l ] else []) bits) with
+        | [] -> "-"
+        | ls -> String.concat "," ls
       in
-      races `Auto = races `Closure)
+      let events =
+        List.mapi
+          (fun eid (p, seq) ->
+            let kind, lock, (rs, ws), _ = bodies.(eid) in
+            Printf.sprintf "event %d proc %d seq %d %s" eid p seq
+              (match kind with
+               | `Acq -> Printf.sprintf "sync loc %d kind R cls acquire value 0 slot 0 label -" lock
+               | `Rel -> Printf.sprintf "sync loc %d kind W cls release value 0 slot 0 label -" lock
+               | `Comp -> Printf.sprintf "comp reads %s writes %s" (set rs) (set ws)))
+          procs
+      in
+      let so1 =
+        List.concat
+          (List.init n (fun a ->
+               match bodies.(a) with
+               | `Acq, lock, _, pick ->
+                 let rels =
+                   List.filter
+                     (fun r ->
+                       match bodies.(r) with
+                       | `Rel, l, _, _ -> l = lock && proc.(r) <> proc.(a)
+                       | _ -> false)
+                     (List.init n Fun.id)
+                 in
+                 if pick >= List.length rels then []
+                 else [ Printf.sprintf "so1 %d %d" (List.nth rels pick) a ]
+               | _ -> []))
+      in
+      let* extra = list_size (int_bound 6) (triple (int_bound (n - 1)) (int_bound (n - 1)) bool) in
+      return
+        ( String.concat "\n"
+            ([ "weakrace-trace 1"; "model WO"; "truncated 0";
+               Printf.sprintf "procs %d locs 6 events %d" n_procs n ]
+             @ events @ so1 @ [ Printf.sprintf "end %d" n; "" ]),
+          extra ))
+  in
+  QCheck.make
+    ~print:(fun (text, extra) ->
+      text
+      ^ String.concat ""
+          (List.map (fun (a, b, d) -> Printf.sprintf "extra %d %d data=%b\n" a b d) extra))
+    gen
+
+let prop_random_traces_match_closure =
+  QCheck.Test.make ~name:"random traces: hb1, races, partitions match closure" ~count:300
+    arb_trace_text
+    (fun (text, extra) ->
+      match Tracing.Codec.decode text with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok t ->
+        let a = Postmortem.analyze t in
+        (* Def. 4.1 only needs G′'s shape: on hb1 plus a few arbitrary
+           doubly-directed "race" edges, partitions are many and often
+           chained, where the trace's own races tend to merge into one *)
+        let extra =
+          List.map (fun (x, y, is_data) -> { Race.a = x; b = y; locs = []; is_data }) extra
+        in
+        hb_matches_closure a.Postmortem.hb
+        && same_races_as_oracle t
+        && partitions_match_oracle a.Postmortem.augmented
+        && partitions_match_oracle (Augment.build a.Postmortem.hb extra))
+
+(* operation level: hb1 and the affects relation over the op-level G′ *)
+let prop_ophb_matches_closure =
+  QCheck.Test.make ~name:"op-level hb1 and affects match the closure" ~count:100
+    arb_case
+    (fun case ->
+      let ophb = Ophb.build (random_exec case) in
+      let g = Ophb.graph ophb in
+      let g' = Graphlib.Digraph.copy g in
+      List.iter
+        (fun (x, y) ->
+          Graphlib.Digraph.add_edge g' x y;
+          Graphlib.Digraph.add_edge g' y x)
+        (Ophb.races ophb);
+      let r = Reach.compute g and r' = Reach.compute g' in
+      let n = Graphlib.Digraph.n_nodes g in
+      let ok = ref true in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if Ophb.happens_before ophb a b <> (a <> b && Reach.reaches r a b) then ok := false;
+          if Ophb.affects_op ophb (a, a) b <> Reach.reaches r' a b then ok := false
+        done
+      done;
+      !ok)
+
+let test_cyclic_fixture_matches_oracle () =
+  let t = cyclic_trace () in
+  let hb = Hb.build t in
+  Alcotest.(check bool) "hb1 is cyclic" true (not (Hb.uses_clocks hb));
+  Alcotest.(check bool) "hb1 pairs" true (hb_matches_closure hb);
+  Alcotest.(check bool) "race sets" true (same_races_as_oracle t);
+  Alcotest.(check bool) "partitions" true
+    (partitions_match_oracle (Postmortem.analyze t).Postmortem.augmented);
+  (* losing P2's event leaves the cycle plus an isolated stand-in, on
+     the salvage finish's lossy cyclic branch *)
+  let lossy =
+    String.split_on_char '\n' cyclic_text
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"event 5" l))
+    |> String.concat "\n"
+  in
+  match Stream.analyze_salvage_string lossy with
+  | Error e -> Alcotest.fail e
+  | Ok (v, _) ->
+    let a = Postmortem.verdict_analysis v in
+    Alcotest.(check int) "degraded" 3 (Postmortem.verdict_exit_code v);
+    Alcotest.(check bool) "lossy hb1 pairs" true (hb_matches_closure a.Postmortem.hb);
+    Alcotest.(check bool) "lossy partitions" true
+      (partitions_match_oracle a.Postmortem.augmented)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch / SHB differentials                                           *)
@@ -349,11 +531,20 @@ let () =
           ] );
       ("cost", qsuite [ prop_cost_weak_never_slower ]);
       ("vclock", qsuite [ prop_vclock_join_laws; prop_vclock_leq_partial_order ]);
-      ( "hb1-index",
-        qsuite
-          [ prop_vclock_index_matches_closure; prop_postmortem_same_races_both_indexes ]
-      );
       ( "differential",
-        qsuite [ prop_epoch_matches_vector; prop_shb_superset_of_hb1 ] );
+        qsuite
+          [
+            prop_epoch_matches_vector;
+            prop_shb_superset_of_hb1;
+            prop_vclock_index_matches_closure;
+            prop_postmortem_same_races_both_indexes;
+            prop_partitions_match_closure;
+            prop_random_traces_match_closure;
+            prop_ophb_matches_closure;
+          ]
+        @ [
+            Alcotest.test_case "cyclic fixture matches the closure" `Quick
+              test_cyclic_fixture_matches_oracle;
+          ] );
       ("determinism", qsuite [ prop_analysis_deterministic; prop_onthefly_deterministic ]);
     ]

@@ -250,7 +250,7 @@ let test_lockset_vs_lint () =
   let p = Option.get (Programs.find "handoff_update") in
   let es = executions p in
   Alcotest.(check bool) "lockset false-alarms on handoff_update" true
-    (List.exists (fun e -> Racedetect.Lockset.check e <> []) es);
+    (List.exists (fun e -> Oracle.Lockset.check e <> []) es);
   List.iter
     (fun e ->
       let a = Postmortem.analyze_execution e in
@@ -274,7 +274,7 @@ let test_lockset_vs_lint () =
   Alcotest.(check bool) "lockset blesses a racy unguarded_handoff run" true
     (List.exists
        (fun e ->
-         Racedetect.Lockset.check e = []
+         Oracle.Lockset.check e = []
          && Postmortem.data_races (Postmortem.analyze_execution e) <> [])
        (executions p));
   Alcotest.(check bool) "lint flags unguarded_handoff" true
