@@ -93,6 +93,33 @@ let prop_elements_roundtrip =
       let s = Bitset.of_list n xs in
       Bitset.equal s (Bitset.of_list n (Bitset.elements s)))
 
+(* [iter], [fold] and [elements] against [mem] over every index, at
+   capacities 0..300 — including ones that are not a multiple of 8, so
+   the partial last byte is exercised — and at densities from empty to
+   full.  All three must yield exactly the members, ascending. *)
+let iter_set_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 300 in
+    let* density = int_bound 100 in
+    let* rolls = list_repeat n (int_bound 99) in
+    return (n, List.concat (List.mapi (fun i r -> if r < density then [ i ] else []) rolls)))
+
+let prop_iteration_matches_mem =
+  QCheck.Test.make ~name:"bitset iter/fold/elements agree with mem, ascending"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (n, xs) ->
+         Printf.sprintf "(%d, [%s])" n (String.concat ";" (List.map string_of_int xs)))
+       iter_set_gen)
+    (fun (n, xs) ->
+      let s = Bitset.of_list n xs in
+      let expected = List.filter (Bitset.mem s) (List.init n Fun.id) in
+      let via_iter = ref [] in
+      Bitset.iter (fun i -> via_iter := i :: !via_iter) s;
+      List.rev !via_iter = expected
+      && List.rev (Bitset.fold (fun i acc -> i :: acc) s []) = expected
+      && Bitset.elements s = expected)
+
 (* ------------------------------------------------------------------ *)
 (* Digraph                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -324,7 +351,9 @@ let () =
           Alcotest.test_case "clear/copy independence" `Quick
             test_bitset_clear_copy_independent;
         ] );
-      ("bitset-props", qsuite [ prop_union_commutes; prop_inter_subset; prop_elements_roundtrip ]);
+      ("bitset-props", qsuite
+          [ prop_union_commutes; prop_inter_subset; prop_elements_roundtrip;
+            prop_iteration_matches_mem ]);
       ( "digraph",
         [
           Alcotest.test_case "edges" `Quick test_digraph_edges;
