@@ -960,6 +960,23 @@ let perf () =
      of the po/so1 graph, races = its all-pairs scan, analyze = both plus
      the closure of G′ *)
   let closure_hb1 t = Oracle.Closure.hb1 (Racedetect.Hb.build t) in
+  (* The queue400 races-* rows feed the epoch-vs-vector gate below.  One
+     call takes tens of µs, so those fits were the gate's noisiest and
+     its ratio crossed the threshold from run to run.  Each sample of
+     these rows runs [races_batch] back-to-back calls; the row is divided
+     back to ns per call, so it stays comparable with earlier files.
+     Larger batches raise the process's peak RSS (64 added ~80 MB in full
+     mode); 16 leaves the streaming section's VmHWM row where it was. *)
+  let races_batch = 16 in
+  let batched = Hashtbl.create 4 in
+  let batched_test name f =
+    Hashtbl.replace batched name races_batch;
+    Test.make ~name
+      (Staged.stage (fun () ->
+           for _ = 1 to races_batch do
+             ignore (f ())
+           done))
+  in
   (* fence pipeline inputs: the delay-set rows reuse a precomputed lint
      report so they time the critical-cycle enumeration alone; the plan
      rows run the whole synthesis (lint fixpoint + delay set + greedy
@@ -993,12 +1010,10 @@ let perf () =
       (* races-vclock = the reference pair-scan engine over the vclock
          index; races-epoch = the epoch-compressed engine (what
          Race.find_all now dispatches to on acyclic hb1) *)
-      Test.make ~name:"races-vclock/queue400"
-        (Staged.stage (fun () -> ignore (Racedetect.Race.find_all_vector hb400v)));
-      Test.make ~name:"races-epoch/queue400"
-        (Staged.stage (fun () -> ignore (Racedetect.Race.find_all hb400v)));
-      Test.make ~name:"races-closure/queue400"
-        (Staged.stage (fun () -> ignore (Oracle.Closure.races hb400c)));
+      batched_test "races-vclock/queue400" (fun () ->
+          Racedetect.Race.find_all_vector hb400v);
+      batched_test "races-epoch/queue400" (fun () -> Racedetect.Race.find_all hb400v);
+      batched_test "races-closure/queue400" (fun () -> Oracle.Closure.races hb400c);
       Test.make ~name:"races-vclock/rand-8x100"
         (Staged.stage (fun () -> ignore (Racedetect.Race.find_all_vector hbhugev)));
       Test.make ~name:"races-epoch/rand-8x100"
@@ -1113,9 +1128,12 @@ let perf () =
           (fun elt ->
             let m = Benchmark.run cfg Toolkit.Instance.[ monotonic_clock ] elt in
             let est = Analyze.one ols Toolkit.Instance.monotonic_clock m in
+            let calls =
+              Option.value ~default:1 (Hashtbl.find_opt batched (Test.Elt.name elt))
+            in
             let ns =
               match Analyze.OLS.estimates est with
-              | Some (v :: _) -> v
+              | Some (v :: _) -> v /. float_of_int calls
               | _ -> nan
             in
             let r2 = Option.value ~default:nan (Analyze.OLS.r_square est) in
@@ -1153,10 +1171,10 @@ let perf () =
   List.iter (fun (n, v) -> Format.printf "  %-40s %8.2fx@." n v) speedups;
   (* epoch-vs-vector regression gate: the epoch engine must not be slower
      than the reference pair scan it replaced; --quick turns a regression
-     into a CI failure.  The short --quick quota leaves the µs-scale
-     queue400 rows with poor OLS fits (r² can drop below 0.3), so allow
-     10% measurement slack before declaring a regression — a real
-     regression from losing the O(1) fast path is 2x+, far outside it *)
+     into a CI failure.  The queue400 rows are batched (see
+     [races_batch]) so their fits resolve even at the --quick quota; the
+     10% slack covers what jitter remains — a real regression from losing
+     the O(1) fast path is 2x+, far outside it *)
   let epoch_rows = [ "queue400"; "rand-8x100"; "rand-8x400" ] in
   let regressed =
     List.filter

@@ -172,19 +172,11 @@ let find_all_epoch hb clocks order =
     let record u o =
       let a = min u o and b = max u o in
       let ea = events.(a) and eb = events.(b) in
-      let locs =
-        (* two sync events each touch one location; the scan only pairs
-           them through a shared table entry, so that location is the
-           whole conflict set — skip the bitset intersection *)
-        match (ea.Tracing.Event.body, eb.Tracing.Event.body) with
-        | Tracing.Event.Sync { op; _ }, Tracing.Event.Sync _ -> [ op.Memsim.Op.loc ]
-        | _ -> Tracing.Event.conflict_locs ea eb ~n_locs
-      in
       races :=
         {
           a;
           b;
-          locs;
+          locs = Tracing.Event.conflict_locs ea eb ~n_locs;
           is_data = Tracing.Event.involves_data ea || Tracing.Event.involves_data eb;
         }
         :: !races

@@ -24,8 +24,10 @@ let pp_stats ppf s =
 (* A processed event that is still a race candidate: its payload is
    resident, and [epoch] packs (proc, own hb1 clock component) — a later
    event [f] is ordered after it iff [Epoch.leq epoch C_f], one integer
-   comparison against [f]'s clock. *)
-type cand = { ev : Event.t; epoch : Epoch.t }
+   comparison against [f]'s clock.  [stamp] is the id of the last event
+   whose race scan looked at this candidate, so a candidate reached
+   through several shared locations is checked once. *)
+type cand = { ev : Event.t; epoch : Epoch.t; mutable stamp : int }
 
 type t = {
   max_live : int option;
@@ -42,13 +44,17 @@ type t = {
   mutable pending_count : int;
   mutable frontier : Vclock.t array; (* clock of each proc's last processed event *)
   mutable minclock : int array;      (* pointwise min of the frontiers *)
+  mutable minholders : int array;    (* per column: frontiers equal to the min *)
+  mutable held : (int * int) Queue.t array;
+    (* per proc: (eid, own tick) of each processed event whose clock is
+       still held, in processing order, so ticks ascend *)
   mutable arrival_seq : int array;
   mutable ev_proc : int array;       (* eid -> proc; -1 = not yet seen *)
   mutable ev_seq : int array;
   mutable processed : Bytes.t;
   mutable proc_eids : int list array; (* processed eids per proc, newest first *)
-  mutable loc_writers : int list array;
-  mutable loc_touchers : int list array;
+  mutable loc_writers : cand list array; (* live candidates per location *)
+  mutable loc_touchers : cand list array;
   cands : (int, cand) Hashtbl.t;
   clocks : (int, Vclock.t) Hashtbl.t; (* processed events not yet clock-dominated *)
   so1_in : (int, int list) Hashtbl.t; (* acquire -> releases, newest first *)
@@ -83,6 +89,8 @@ let create ?max_live ?(tolerant = false) () =
     pending_count = 0;
     frontier = [||];
     minclock = [||];
+    minholders = [||];
+    held = [||];
     arrival_seq = [||];
     ev_proc = [||];
     ev_seq = [||];
@@ -137,61 +145,78 @@ let ready t (ev : Event.t) =
     List.for_all (fun r -> is_processed t r) (rels_of t ev.Event.eid)
   else false
 
-let clock_dominated c m =
-  let n = Array.length m in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if Vclock.get c i > m.(i) then ok := false
-  done;
-  !ok
+(* [write l] for each location [ev] writes, then [read l] for each it
+   reads.  A sync event names its one location directly, so no
+   n_locs-wide bitset view ({!Event.writes}) is built per event. *)
+let iter_accesses (ev : Event.t) ~write ~read =
+  match ev.Event.body with
+  | Event.Sync { op; _ } ->
+    if op.Memsim.Op.kind = Memsim.Op.Write then write op.Memsim.Op.loc
+    else read op.Memsim.Op.loc
+  | Event.Computation { reads; writes; _ } ->
+    Bitset.iter write writes;
+    Bitset.iter read reads
 
-let update_minclock t (s : Codec.sizes) =
-  let changed = ref false in
-  for i = 0 to s.n_procs - 1 do
-    let m = ref max_int in
-    for p = 0 to s.n_procs - 1 do
-      let v = Vclock.get t.frontier.(p) i in
-      if v < !m then m := v
-    done;
-    if !m <> t.minclock.(i) then begin
-      t.minclock.(i) <- !m;
-      changed := true
-    end
-  done;
-  !changed
-
-let remove_from_loc_index t (ev : Event.t) =
-  let s = sizes_exn t "location index update" in
-  let eid = ev.Event.eid in
-  Bitset.iter
-    (fun l ->
-      t.loc_writers.(l) <- List.filter (fun e -> e <> eid) t.loc_writers.(l);
-      t.loc_touchers.(l) <- List.filter (fun e -> e <> eid) t.loc_touchers.(l))
-    (Event.writes ev ~n_locs:s.n_locs);
-  Bitset.iter
-    (fun l -> t.loc_touchers.(l) <- List.filter (fun e -> e <> eid) t.loc_touchers.(l))
-    (Event.reads ev ~n_locs:s.n_locs)
+let remove_from_loc_index t cand =
+  let drop l = List.filter (fun c -> c != cand) l in
+  iter_accesses cand.ev
+    ~write:(fun l ->
+      t.loc_writers.(l) <- drop t.loc_writers.(l);
+      t.loc_touchers.(l) <- drop t.loc_touchers.(l))
+    ~read:(fun l -> t.loc_touchers.(l) <- drop t.loc_touchers.(l))
 
 (* §5 event GC: once every processor's frontier clock dominates an
    event's clock, every future event is hb1-after it — it can neither
    race with anything to come nor contribute to a future so1 join, so
-   both its payload and its clock are dropped. *)
-let retire_dominated t =
-  let doomed = ref [] in
-  Hashtbl.iter
-    (fun eid c -> if clock_dominated c t.minclock then doomed := eid :: !doomed)
-    t.clocks;
-  List.iter
-    (fun eid ->
+   both its payload and its clock are dropped.
+
+   Every clock here is built by join-and-tick, so for an event [e] of
+   processor [q], [C_e <= C_f] iff [C_e.(q) <= C_f.(q)] — the same fact
+   behind [Epoch.leq].  [C_e] is below every frontier exactly when its
+   own tick is at most [minclock.(q)], and since [q]'s ticks ascend in
+   processing order, the dominated events of [q] are a prefix of
+   [held.(q)]. *)
+let retire_held t q =
+  let held = t.held.(q) in
+  let continue = ref true in
+  while !continue do
+    match Queue.peek_opt held with
+    | Some (eid, tick) when tick <= t.minclock.(q) -> (
+      ignore (Queue.pop held);
       Hashtbl.remove t.clocks eid;
       match Hashtbl.find_opt t.cands eid with
       | Some cand ->
         Hashtbl.remove t.cands eid;
-        remove_from_loc_index t cand.ev;
+        remove_from_loc_index t cand;
         t.retired <- t.retired + 1;
         t.live <- t.live - 1
       | None -> () (* already force-retired; only the clock remained *))
-    !doomed
+    | _ -> continue := false
+  done
+
+(* A processor's frontier rose from [old] to [c].  A column's minimum
+   can only rise when its last holder leaves it, so a column is rescanned
+   only then; a column whose minimum rose retires a prefix of that
+   processor's held events. *)
+let advance_frontier t old c =
+  let n = Array.length t.minclock in
+  for i = 0 to n - 1 do
+    let o = Vclock.get old i in
+    if o = t.minclock.(i) && Vclock.get c i > o then begin
+      t.minholders.(i) <- t.minholders.(i) - 1;
+      if t.minholders.(i) = 0 then begin
+        let m = ref max_int and k = ref 0 in
+        for q = 0 to n - 1 do
+          let v = Vclock.get t.frontier.(q) i in
+          if v < !m then begin m := v; k := 1 end
+          else if v = !m then incr k
+        done;
+        t.minclock.(i) <- !m;
+        t.minholders.(i) <- !k;
+        retire_held t i
+      end
+    end
+  done
 
 (* --max-live degradation: evict the oldest candidates beyond the cap.
    Their payload and candidacy are dropped — a race against a later
@@ -211,7 +236,7 @@ let enforce_max_live t =
         | None -> () (* retired since it was queued *)
         | Some cand ->
           Hashtbl.remove t.cands eid;
-          remove_from_loc_index t cand.ev;
+          remove_from_loc_index t cand;
           t.forced <- t.forced + 1;
           t.live <- t.live - 1)
     done
@@ -225,7 +250,8 @@ let process t (s : Codec.sizes) (ev : Event.t) =
      and its incoming releases, plus its own tick.  A release whose
      clock was retired is already dominated by the frontier, so the
      missing join is a no-op. *)
-  let c = Vclock.copy t.frontier.(p) in
+  let old = t.frontier.(p) in
+  let c = Vclock.copy old in
   List.iter
     (fun r ->
       match Hashtbl.find_opt t.clocks r with
@@ -237,49 +263,47 @@ let process t (s : Codec.sizes) (ev : Event.t) =
   let epoch = Epoch.of_clock c p in
   (* race scan against the live candidates sharing a location *)
   let n_locs = s.n_locs in
-  let considered = Hashtbl.create 8 in
-  let check o_eid =
-    if not (Hashtbl.mem considered o_eid) then begin
-      Hashtbl.add considered o_eid ();
-      match Hashtbl.find_opt t.cands o_eid with
-      | None -> ()
-      | Some cand ->
-        if
-          cand.ev.Event.proc <> p
-          && Event.conflict cand.ev ev
-          && not (Epoch.leq cand.epoch c)
-        then begin
-          let a = min o_eid eid and b = max o_eid eid in
-          let ea, eb = if a = o_eid then (cand.ev, ev) else (ev, cand.ev) in
-          t.races <-
-            {
-              Race.a;
-              b;
-              locs = Event.conflict_locs ea eb ~n_locs;
-              is_data = Event.involves_data ea || Event.involves_data eb;
-            }
-            :: t.races;
-          pin t cand.ev;
-          pin t ev
-        end
+  let check cand =
+    if cand.stamp <> eid then begin
+      cand.stamp <- eid;
+      if
+        cand.ev.Event.proc <> p
+        && Event.conflict cand.ev ev
+        && not (Epoch.leq cand.epoch c)
+      then begin
+        let o_eid = cand.ev.Event.eid in
+        let a = min o_eid eid and b = max o_eid eid in
+        let ea, eb = if a = o_eid then (cand.ev, ev) else (ev, cand.ev) in
+        t.races <-
+          {
+            Race.a;
+            b;
+            locs = Event.conflict_locs ea eb ~n_locs;
+            is_data = Event.involves_data ea || Event.involves_data eb;
+          }
+          :: t.races;
+        pin t cand.ev;
+        pin t ev
+      end
     end
   in
-  let w = Event.writes ev ~n_locs and r = Event.reads ev ~n_locs in
-  Bitset.iter (fun l -> List.iter check t.loc_touchers.(l)) w;
-  Bitset.iter (fun l -> List.iter check t.loc_writers.(l)) r;
+  iter_accesses ev
+    ~write:(fun l -> List.iter check t.loc_touchers.(l))
+    ~read:(fun l -> List.iter check t.loc_writers.(l));
   (* publish as a live candidate *)
-  Bitset.iter
-    (fun l ->
-      t.loc_writers.(l) <- eid :: t.loc_writers.(l);
-      t.loc_touchers.(l) <- eid :: t.loc_touchers.(l))
-    w;
-  Bitset.iter (fun l -> t.loc_touchers.(l) <- eid :: t.loc_touchers.(l)) r;
-  Hashtbl.replace t.cands eid { ev; epoch };
+  let cand = { ev; epoch; stamp = -1 } in
+  iter_accesses ev
+    ~write:(fun l ->
+      t.loc_writers.(l) <- cand :: t.loc_writers.(l);
+      t.loc_touchers.(l) <- cand :: t.loc_touchers.(l))
+    ~read:(fun l -> t.loc_touchers.(l) <- cand :: t.loc_touchers.(l));
+  Hashtbl.replace t.cands eid cand;
   Hashtbl.replace t.clocks eid c;
+  Queue.add (eid, Vclock.get c p) t.held.(p);
   Queue.add eid t.fifo;
   Bytes.set t.processed eid '\001';
   t.proc_eids.(p) <- eid :: t.proc_eids.(p);
-  if update_minclock t s then retire_dominated t;
+  advance_frontier t old c;
   enforce_max_live t
 
 let drain t =
@@ -316,6 +340,8 @@ let on_sizes t (s : Codec.sizes) =
   t.pending <- Array.init s.n_procs (fun _ -> Queue.create ());
   t.frontier <- Array.init s.n_procs (fun _ -> Vclock.make s.n_procs);
   t.minclock <- Array.make s.n_procs 0;
+  t.minholders <- Array.make s.n_procs s.n_procs;
+  t.held <- Array.init s.n_procs (fun _ -> Queue.create ());
   t.arrival_seq <- Array.make s.n_procs min_int;
   t.ev_proc <- Array.make s.n_events (-1);
   t.ev_seq <- Array.make s.n_events 0;
@@ -458,7 +484,9 @@ let skeleton_analysis t trace =
   let hb = Hb.build ~so1:`Recorded trace in
   let races =
     List.sort
-      (fun (r1 : Race.t) (r2 : Race.t) -> compare (r1.Race.a, r1.Race.b) (r2.Race.a, r2.Race.b))
+      (fun (r1 : Race.t) (r2 : Race.t) ->
+        let c = Int.compare r1.Race.a r2.Race.a in
+        if c <> 0 then c else Int.compare r1.Race.b r2.Race.b)
       t.races
   in
   let augmented = Augment.build hb races in
@@ -711,14 +739,15 @@ let finish_salvaged t ~decode_losses =
    payload length, payload CRC-32 — followed by the marshalled
    (engine, extra) pair.  The Marshal payload is untyped, so the header
    carries everything needed to refuse a file we would otherwise
-   misread: a version bump (the [extra] shape changed), a kind mismatch
-   (an [analyze --checkpoint] file fed to [serve --resume], whose
-   [extra] has a different type), truncation, or corruption all come
-   back as structured [Error]s naming the file.  The write goes through
+   misread: a version bump (the engine's or [extra]'s shape changed;
+   version 3 added the per-processor retirement queues), a kind
+   mismatch (an [analyze --checkpoint] file fed to [serve --resume],
+   whose [extra] has a different type), truncation, or corruption all
+   come back as structured [Error]s naming the file.  The write goes through
    a temporary file and a rename, so a kill mid-write leaves either the
    previous checkpoint or a complete new one. *)
 let ckpt_magic = "weakrace-ckpt"
-let ckpt_version = 2
+let ckpt_version = 3
 
 let valid_kind k =
   k <> ""
@@ -752,7 +781,7 @@ let restore ?(kind = "stream") path =
        let header = String.sub data 0 i in
        let payload = String.sub data (i + 1) (String.length data - i - 1) in
        (match String.split_on_char ' ' header with
-        | [ "weakrace-ckpt"; "2"; k; len; crc ] ->
+        | [ "weakrace-ckpt"; v; k; len; crc ] when v = string_of_int ckpt_version ->
           if k <> kind then
             Error
               (Printf.sprintf "%s: checkpoint kind is %S, expected %S" path k kind)

@@ -13,8 +13,13 @@
     - §5 event GC: once every processor's frontier clock dominates an
       event's clock, every future event is hb1-ordered after it; it can
       neither race with anything still to come nor contribute to a
-      future so1 join, so its payload and clock are dropped.  The peak
-      live-set size is reported in {!stats}.
+      future so1 join, so its payload and clock are dropped.  Because
+      clocks are built by join-and-tick, an event of processor [q] is
+      dominated exactly when its own tick is at most the frontiers'
+      minimum in column [q]: each processor keeps a FIFO of its events
+      in tick order and retires from its head, and the column minima
+      are maintained incrementally, so no event scans the live set.
+      The peak live-set size is reported in {!stats}.
     - Events that race are pinned; at {!finish} the hb1 graph is rebuilt
       over the full event-id {e skeleton} (integers, not payloads) and
       handed to the unchanged {!Augment}/{!Partition}/{!Report} stages.

@@ -47,11 +47,15 @@ let conflict a b =
   | Sync { op = oa; _ }, Sync { op = ob; _ } -> Memsim.Op.conflict oa ob
 
 let conflict_locs a b ~n_locs =
-  let wa = writes a ~n_locs and ra = reads a ~n_locs in
-  let wb = writes b ~n_locs and rb = reads b ~n_locs in
-  let open Graphlib.Bitset in
-  let s = union (inter wa wb) (union (inter wa rb) (inter ra wb)) in
-  elements s
+  match (a.body, b.body) with
+  | Sync { op = oa; _ }, Sync { op = ob; _ } ->
+    (* one location each: no bitset views needed *)
+    if Memsim.Op.conflict oa ob then [ oa.Memsim.Op.loc ] else []
+  | _ ->
+    let wa = writes a ~n_locs and ra = reads a ~n_locs in
+    let wb = writes b ~n_locs and rb = reads b ~n_locs in
+    let open Graphlib.Bitset in
+    elements (union (inter wa wb) (union (inter wa rb) (inter ra wb)))
 
 let involves_data = is_computation
 
