@@ -7,15 +7,56 @@
 
 open Cmdliner
 
+(* -- the command spine ------------------------------------------------
+
+   Every subcommand's [run] returns its exit code.  [fail] aborts a run
+   with a one-line message; [command] prints it, or any I/O error, as
+   [racedet: <msg>] on stderr and returns 1 (or the code [fail] was
+   given).  Anything else escapes to Cmdliner as an internal error (125),
+   so a bug is never dressed up as a usage error.  Only [main] exits. *)
+
+exception Failed of int * string
+
+let fail ?(code = 1) fmt = Printf.ksprintf (fun m -> raise (Failed (code, m))) fmt
+let or_fail = function Ok v -> v | Error msg -> fail "%s" msg
+
+(* The exit table of one command: code 1 always covers usage and I/O
+   errors (a doc given for 1 adds to that), and Cmdliner's own codes
+   follow the highest one listed. *)
+let exits codes =
+  let usage = "usage or I/O error" in
+  let one =
+    match List.assoc_opt 1 codes with
+    | None -> usage ^ "."
+    | Some doc -> usage ^ ", or " ^ doc
+  in
+  let codes = List.sort compare ((1, one) :: List.remove_assoc 1 codes) in
+  let top = List.fold_left (fun m (c, _) -> max m c) 1 codes in
+  List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) codes
+  @ List.filter (fun i -> Cmd.Exit.info_code i > top) Cmd.Exit.defaults
+
+let command name ~doc ?(exits = exits [ (0, "on success.") ]) term =
+  let guard run =
+    let error code msg =
+      Format.eprintf "racedet: %s@." msg;
+      code
+    in
+    try run () with
+    | Failed (code, msg) -> error code msg
+    | Sys_error msg -> error 1 msg
+    | Unix.Unix_error (e, fn, arg) ->
+      error 1 ((if arg = "" then fn else arg) ^ ": " ^ Unix.error_message e)
+  in
+  Cmd.v (Cmd.info name ~doc ~exits) Term.(const guard $ term)
+
 let load_program arg =
   match Minilang.Programs.find arg with
-  | Some p -> Ok p
+  | Some p -> p
   | None ->
-    if Sys.file_exists arg then Minilang.Parser.parse_file arg
+    if Sys.file_exists arg then or_fail (Minilang.Parser.parse_file arg)
     else
-      Error
-        (Printf.sprintf
-           "%S is neither a stock program nor a readable file (try `racedet list`)" arg)
+      fail "%S is neither a stock program nor a readable file (try `racedet list`)"
+        arg
 
 (* -- common arguments ------------------------------------------------ *)
 
@@ -92,18 +133,9 @@ let batch_arg =
   Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc)
 
 let resolve_jobs jobs =
-  if jobs < 0 then begin
-    Format.eprintf "racedet: --jobs must be >= 0@.";
-    exit 1
-  end
+  if jobs < 0 then fail "--jobs must be >= 0"
   else if jobs = 0 then Engine.Parbatch.default_jobs ()
   else jobs
-
-let or_fail = function
-  | Ok v -> v
-  | Error msg ->
-    Format.eprintf "racedet: %s@." msg;
-    exit 1
 
 let exec_of p machine model sched max_steps seed =
   match machine with
@@ -112,13 +144,13 @@ let exec_of p machine model sched max_steps seed =
     Coherence.Cmachine.run_program ~max_steps ~model ~sched:(make_sched sched seed) p
 
 let run_exec program machine model sched seed max_steps =
-  let p = or_fail (load_program program) in
+  let p = load_program program in
   (p, exec_of p machine model sched max_steps seed)
 
 (* batch mode: seeds [seed .. seed+batch-1] fanned out over the domain pool;
    [f] must be pure — results are printed in seed order by the caller *)
 let run_batch program machine model sched seed max_steps ~batch ~jobs f =
-  let p = or_fail (load_program program) in
+  let p = load_program program in
   let rs =
     Engine.Parbatch.map_seeds ~jobs batch (fun i ->
         let s = seed + i in
@@ -134,25 +166,25 @@ let list_cmd =
       (fun (name, (p : Minilang.Ast.program)) ->
         Format.printf "%-20s %d procs, %d locations@." name (Array.length p.procs)
           p.n_locs)
-      Minilang.Programs.all
+      Minilang.Programs.all;
+    0
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the stock programs.") Term.(const run $ const ())
+  command "list" ~doc:"List the stock programs." Term.(const run)
 
 (* -- show ------------------------------------------------------------- *)
 
 let show_cmd =
-  let run program =
-    let p = or_fail (load_program program) in
-    print_string (Minilang.Parser.to_source p)
+  let run program () =
+    print_string (Minilang.Parser.to_source (load_program program));
+    0
   in
-  Cmd.v
-    (Cmd.info "show" ~doc:"Print a program in concrete syntax.")
+  command "show" ~doc:"Print a program in concrete syntax."
     Term.(const run $ program_arg)
 
 (* -- run --------------------------------------------------------------- *)
 
 let run_cmd =
-  let run program machine model sched seed max_steps batch jobs =
+  let run program machine model sched seed max_steps batch jobs () =
     if batch <= 1 then begin
       let p, e = run_exec program machine model sched seed max_steps in
       Format.printf "%a@." Memsim.Exec.pp e;
@@ -184,14 +216,14 @@ let run_cmd =
                   (fun (l, v) -> Printf.sprintf "%s=%d" (Minilang.Ast.loc_name p l) v)
                   mem)))
         rs
-    end
+    end;
+    0
   in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Execute a program on a memory model and print the execution.  With \
-          $(b,--batch) N, run N consecutive seeds (in parallel with $(b,--jobs)) \
-          and print one summary line per seed.")
+  command "run"
+    ~doc:
+      "Execute a program on a memory model and print the execution.  With \
+       $(b,--batch) N, run N consecutive seeds (in parallel with $(b,--jobs)) \
+       and print one summary line per seed."
     Term.(
       const run $ program_arg $ machine_arg $ model_arg $ sched_arg $ seed_arg
       $ max_steps_arg $ batch_arg $ jobs_arg)
@@ -235,7 +267,7 @@ let detect_cmd =
     let doc = "Also show the suppressed non-first partitions in full." in
     Arg.(value & flag & info [ "a"; "all" ] ~doc)
   in
-  let run program machine model sched seed max_steps show_all batch jobs order =
+  let run program machine model sched seed max_steps show_all batch jobs order () =
     if batch <= 1 then begin
       let p, e = run_exec program machine model sched seed max_steps in
       let a = Racedetect.Postmortem.analyze_execution ~order e in
@@ -250,7 +282,7 @@ let detect_cmd =
               part)
           (Racedetect.Partition.non_first_partitions a.Racedetect.Postmortem.partitions)
       end;
-      if not (Racedetect.Postmortem.race_free a) then exit 2
+      if Racedetect.Postmortem.race_free a then 0 else 2
     end
     else begin
       let jobs = resolve_jobs jobs in
@@ -275,24 +307,19 @@ let detect_cmd =
                else ""))
         rs;
       Format.printf "%d / %d seeds racy@." !racy batch;
-      if !racy > 0 then exit 2
+      if !racy > 0 then 2 else 0
     end
   in
-  let exits =
-    Cmd.Exit.info 0 ~doc:"no data races were reported."
-    :: Cmd.Exit.info 1 ~doc:"usage or I/O error."
-    :: Cmd.Exit.info 2 ~doc:"data races were reported."
-    :: List.filter (fun i -> Cmd.Exit.info_code i > 2) Cmd.Exit.defaults
-  in
-  Cmd.v
-    (Cmd.info "detect"
-       ~doc:
-         "Run a program, trace it, and report the first partitions of data races \
-          (exit status 2 when races are found).  With $(b,--batch) N, analyze N \
-          consecutive seeds (in parallel with $(b,--jobs)) and print one line per \
-          seed.  $(b,--order shb) additionally predicts suppressed races via the \
-          SHB order; exit codes are unaffected."
-       ~exits)
+  command "detect"
+    ~doc:
+      "Run a program, trace it, and report the first partitions of data races \
+       (exit status 2 when races are found).  With $(b,--batch) N, analyze N \
+       consecutive seeds (in parallel with $(b,--jobs)) and print one line per \
+       seed.  $(b,--order shb) additionally predicts suppressed races via the \
+       SHB order; exit codes are unaffected."
+    ~exits:
+      (exits
+         [ (0, "no data races were reported."); (2, "data races were reported.") ])
     Term.(
       const run $ program_arg $ machine_arg $ model_arg $ sched_arg $ seed_arg
       $ max_steps_arg $ all_arg $ batch_arg $ jobs_arg $ order_arg)
@@ -326,15 +353,9 @@ let trace_cmd =
     in
     Arg.(value & flag & info [ "v2"; "checksummed" ] ~doc)
   in
-  let run program machine model sched seed max_steps out split stream v2 =
-    if split && stream then begin
-      Format.eprintf "racedet: --split and --stream are mutually exclusive@.";
-      exit 1
-    end;
-    if split && v2 then begin
-      Format.eprintf "racedet: --v2 is not available for split-trace directories@.";
-      exit 1
-    end;
+  let run program machine model sched seed max_steps out split stream v2 () =
+    if split && stream then fail "--split and --stream are mutually exclusive";
+    if split && v2 then fail "--v2 is not available for split-trace directories";
     let version =
       if v2 then Tracing.Codec.version_checksummed else Tracing.Codec.version
     in
@@ -347,10 +368,10 @@ let trace_cmd =
       (Tracing.Trace.n_events t)
       (Tracing.Trace.n_computation_events t)
       (Tracing.Trace.n_sync_events t)
-      out
+      out;
+    0
   in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Run a program and write its trace file.")
+  command "trace" ~doc:"Run a program and write its trace file."
     Term.(
       const run $ program_arg $ machine_arg $ model_arg $ sched_arg $ seed_arg
       $ max_steps_arg $ out_arg $ split_arg $ stream_arg $ v2_arg)
@@ -358,152 +379,70 @@ let trace_cmd =
 (* -- the streaming driver --------------------------------------------
 
    One loop serves --stream, --follow, --salvage and --checkpoint: read
-   the file in chunks (tailing it while it grows under --follow), feed a
-   strict or salvage codec into a strict or tolerant engine, and — when
-   a checkpoint path is given — atomically persist (engine, codec
-   position) every [checkpoint_every] events plus once more before the
-   finish, so a kill at any point resumes to a byte-identical report.
-   The checkpoint is deleted after a successful finish. *)
-
-type codec_state =
-  | Cs_strict of Tracing.Codec.decoder
-  | Cs_salvage of Tracing.Codec.Salvage.t
+   the file in chunks (tailing it while it grows under --follow) into a
+   Stream.Reader and — when a checkpoint path is given — persist the
+   reader every [ckpt_every] events plus once more before the finish,
+   so a kill at any point resumes to a byte-identical report.  The
+   checkpoint is deleted after a successful finish. *)
 
 let stream_drive ?max_live ~salvage ~follow ~idle ~ckpt ~ckpt_every file =
-  let fresh () =
-    let engine = Racedetect.Stream.create ?max_live ~tolerant:salvage () in
-    let codec =
-      if salvage then Cs_salvage (Tracing.Codec.Salvage.create ())
-      else Cs_strict (Tracing.Codec.decoder ())
-    in
-    Ok (engine, codec, 0)
-  in
-  let restored =
+  let module R = Racedetect.Stream.Reader in
+  let seen r = Racedetect.Stream.seen_events (R.engine r) in
+  let reader =
     match ckpt with
     | Some cp when Sys.file_exists cp ->
-      (match
-         (Racedetect.Stream.restore cp
-           : (Racedetect.Stream.t * (bool * codec_state * int), string) result)
-       with
-       | Ok (engine, (was_salvage, codec, pos)) ->
-         if was_salvage <> salvage then
-           Error
-             (Printf.sprintf "%s: checkpoint was taken %s --salvage" cp
-                (if was_salvage then "with" else "without"))
-         else begin
-           Format.eprintf "racedet: resuming %s from byte %d (%d events)@." file
-             pos
-             (Racedetect.Stream.seen_events engine);
-           Ok (engine, codec, pos)
-         end
-       | Error _ as e -> e)
-    | _ -> fresh ()
+      let r = or_fail (R.resume ~salvage cp) in
+      Format.eprintf "racedet: resuming %s from byte %d (%d events)@." file
+        (R.offset r) (seen r);
+      r
+    | _ -> R.create ?max_live ~salvage ()
   in
-  match restored with
-  | Error _ as e -> e
-  | Ok (engine, codec, start_pos) ->
-    (match open_in_bin file with
-     | exception Sys_error msg -> Error msg
-     | ic ->
-       let r =
-         try
-           if in_channel_length ic < start_pos then
-             Error
-               (Printf.sprintf "%s: file is shorter than the checkpoint position %d"
-                  file start_pos)
-           else begin
-             seek_in ic start_pos;
-             let buf = Bytes.create 65536 in
-             let pos = ref start_pos in
-             let events_at_ckpt = ref (Racedetect.Stream.seen_events engine) in
-             let push () r = Racedetect.Stream.push engine r in
-             let feed chunk =
-               match codec with
-               | Cs_strict d -> Tracing.Codec.feed d chunk ~f:push ()
-               | Cs_salvage s -> Tracing.Codec.Salvage.feed s chunk ~f:push ()
-             in
-             let save_ckpt () =
-               match ckpt with
-               | None -> ()
-               | Some cp ->
-                 Racedetect.Stream.checkpoint cp engine ~extra:(salvage, codec, !pos);
-                 events_at_ckpt := Racedetect.Stream.seen_events engine
-             in
-             let maybe_ckpt () =
-               if ckpt <> None
-                  && Racedetect.Stream.seen_events engine - !events_at_ckpt
-                     >= ckpt_every
-               then save_ckpt ()
-             in
-             (* codec and engine errors carry byte/line positions but not
-                the file name; checkpoint errors already name their file *)
-             let in_file = function
-               | Ok _ as ok -> ok
-               | Error m -> Error (file ^ ": " ^ m)
-             in
-             let rec loop idle_for =
-               match input ic buf 0 (Bytes.length buf) with
-               | 0 ->
-                 if Racedetect.Stream.saw_end engine then Ok ()
-                 else if (not follow) || idle_for >= idle then Ok ()
-                 else begin
-                   Unix.sleepf 0.05;
-                   loop (idle_for +. 0.05)
-                 end
-               | n ->
-                 (match in_file (feed (Bytes.sub_string buf 0 n)) with
-                  | Ok () ->
-                    pos := !pos + n;
-                    maybe_ckpt ();
-                    loop 0.
-                  | Error _ as e -> e)
-               | exception Sys_error msg -> Error msg
-             in
-             match loop 0. with
-             | Error _ as e -> e
-             | Ok () ->
-               (* persist once more before the finish: finishing mutates
-                  the engine, so a kill inside it must resume from here *)
-               save_ckpt ();
-               (match codec with
-                | Cs_strict d ->
-                  (match in_file (Tracing.Codec.finish_feed d ~f:push ()) with
-                   | Error _ as e -> e
-                   | Ok () ->
-                     (match in_file (Racedetect.Stream.finish engine) with
-                      | Ok (a, st) -> Ok (Racedetect.Postmortem.verdict a, st)
-                      | Error _ as e -> e))
-                | Cs_salvage s ->
-                  (match in_file (Tracing.Codec.Salvage.finish_feed s ~f:push ()) with
-                   | Error _ as e -> e
-                   | Ok () ->
-                     in_file
-                       (Racedetect.Stream.finish_salvaged engine
-                          ~decode_losses:(Tracing.Codec.Salvage.losses s))))
-           end
-         with Sys_error msg -> Error msg
-       in
-       close_in_noerr ic;
-       (match r, ckpt with
-        | Ok _, Some cp -> (try Sys.remove cp with Sys_error _ -> ())
-        | _ -> ());
-       r)
+  (* codec and engine errors carry byte/line positions but not the file
+     name; checkpoint errors already name their file *)
+  let in_file = function Ok v -> v | Error m -> fail "%s: %s" file m in
+  let result =
+    In_channel.with_open_bin file (fun ic ->
+        if in_channel_length ic < R.offset reader then
+          fail "%s: file is shorter than the checkpoint position %d" file
+            (R.offset reader);
+        seek_in ic (R.offset reader);
+        let buf = Bytes.create 65536 in
+        let events_at_ckpt = ref (seen reader) in
+        let save () =
+          Option.iter
+            (fun cp ->
+              R.save reader cp;
+              events_at_ckpt := seen reader)
+            ckpt
+        in
+        let rec loop idle_for =
+          match input ic buf 0 (Bytes.length buf) with
+          | 0 ->
+            if follow && idle_for < idle
+               && not (Racedetect.Stream.saw_end (R.engine reader))
+            then begin
+              Unix.sleepf 0.05;
+              loop (idle_for +. 0.05)
+            end
+          | n ->
+            in_file (R.feed reader (Bytes.sub_string buf 0 n));
+            if seen reader - !events_at_ckpt >= ckpt_every then save ();
+            loop 0.
+        in
+        loop 0.;
+        (* persist once more before the finish: finishing mutates the
+           engine, so a kill inside it must resume from here *)
+        save ();
+        in_file (R.close reader))
+  in
+  Option.iter (fun cp -> try Sys.remove cp with Sys_error _ -> ()) ckpt;
+  result
 
 (* The rendering lives in Serve.Protocol so the daemon's reports are
    byte-identical to this command's stdout. *)
 let print_verdict v =
   print_string (Serve.Protocol.render_verdict_report v);
   Racedetect.Postmortem.verdict_exit_code v
-
-let analysis_exits =
-  Cmd.Exit.info 0 ~doc:"the trace was analyzed and is race-free."
-  :: Cmd.Exit.info 1 ~doc:"usage error, I/O error, or undecodable trace."
-  :: Cmd.Exit.info 2 ~doc:"data races were reported."
-  :: Cmd.Exit.info 3
-       ~doc:
-         "the trace was lossy (salvaged decode discarded damaged regions): the \
-          analysis is degraded and race-freedom cannot be certified."
-  :: List.filter (fun i -> Cmd.Exit.info_code i > 3) Cmd.Exit.defaults
 
 let analyze_cmd =
   let file_arg =
@@ -599,107 +538,94 @@ let analyze_cmd =
     Arg.(value & opt (some string) None & info [ "robust" ] ~docv:"PROGRAM" ~doc)
   in
   let run file reconstruct stream follow max_live stats idle salvage ckpt
-      ckpt_every order robust =
+      ckpt_every order robust () =
     let stream_mode =
       stream || follow || max_live <> None || stats || salvage || ckpt <> None
     in
-    (match robust with
-    | Some _ when stream_mode ->
-      Format.eprintf
-        "racedet: --robust needs the whole trace at once and is not \
-         available with --stream@.";
-      exit 1
-    | _ -> ());
+    if robust <> None && stream_mode then
+      fail
+        "--robust needs the whole trace at once and is not available with \
+         --stream";
     if not stream_mode then begin
-      let result =
-        if Sys.file_exists file && Sys.is_directory file then Tracing.Codec.read_dir file
-        else Tracing.Codec.read_file file
+      let t =
+        or_fail
+          (if Sys.file_exists file && Sys.is_directory file then
+             Tracing.Codec.read_dir file
+           else Tracing.Codec.read_file file)
       in
-      match result with
-      | Error msg ->
-        Format.eprintf "racedet: %s@." msg;
-        exit 1
-      | Ok t ->
-        (match robust with
-        | Some prog ->
-          let p = or_fail (load_program prog) in
-          or_fail (Minilang.Ast.validate p);
-          (match Explore.Scpool.build p with
-          | Error msg ->
-            Format.eprintf "racedet: %s@." msg;
-            exit 3
-          | Ok pool ->
-            let n_events =
-              Array.fold_left
-                (fun acc evs -> acc + Array.length evs)
-                0 t.Tracing.Trace.by_proc
-            in
-            let ok = Explore.Scpool.trace_explainable pool t in
-            Format.printf
-              "trace %s: %d event(s) across %d processor(s)@.SC \
-               explainability against %s (%d SC behaviour(s)): %s@."
-              file n_events
-              (Array.length t.Tracing.Trace.by_proc)
-              p.Minilang.Ast.name (Explore.Scpool.size pool)
-              (if ok then "explainable — some SC interleaving produces this trace"
-               else "NOT explainable — no SC interleaving produces this trace");
-            if not ok then exit 2)
-        | None ->
-          let so1 = if reconstruct then `Reconstructed else `Recorded in
-          let a = Racedetect.Postmortem.analyze ~so1 ~order t in
-          Format.printf "%a@." (Racedetect.Report.pp_analysis ?loc_name:None) a;
-          if not (Racedetect.Postmortem.race_free a) then exit 2)
+      match robust with
+      | Some prog ->
+        let p = load_program prog in
+        or_fail (Minilang.Ast.validate p);
+        let pool =
+          match Explore.Scpool.build p with
+          | Ok pool -> pool
+          | Error msg -> fail ~code:3 "%s" msg
+        in
+        let n_events =
+          Array.fold_left
+            (fun acc evs -> acc + Array.length evs)
+            0 t.Tracing.Trace.by_proc
+        in
+        let ok = Explore.Scpool.trace_explainable pool t in
+        Format.printf
+          "trace %s: %d event(s) across %d processor(s)@.SC \
+           explainability against %s (%d SC behaviour(s)): %s@."
+          file n_events
+          (Array.length t.Tracing.Trace.by_proc)
+          p.Minilang.Ast.name (Explore.Scpool.size pool)
+          (if ok then "explainable — some SC interleaving produces this trace"
+           else "NOT explainable — no SC interleaving produces this trace");
+        if ok then 0 else 2
+      | None ->
+        let so1 = if reconstruct then `Reconstructed else `Recorded in
+        let a = Racedetect.Postmortem.analyze ~so1 ~order t in
+        Format.printf "%a@." (Racedetect.Report.pp_analysis ?loc_name:None) a;
+        if Racedetect.Postmortem.race_free a then 0 else 2
     end
     else begin
-      (match max_live with
-       | Some k when k < 1 ->
-         Format.eprintf "racedet: --max-live must be at least 1@.";
-         exit 1
-       | _ -> ());
-      if ckpt_every < 1 then begin
-        Format.eprintf "racedet: --checkpoint-every must be at least 1@.";
-        exit 1
-      end;
-      if reconstruct then begin
-        Format.eprintf
-          "racedet: --reconstruct-so1 is not available with --stream (streaming \
-           consumes the recorded pairing)@.";
-        exit 1
-      end;
-      if Sys.file_exists file && Sys.is_directory file then begin
-        Format.eprintf
-          "racedet: --stream reads a single trace file, not a split directory@.";
-        exit 1
-      end;
-      match
+      if Option.value max_live ~default:1 < 1 then
+        fail "--max-live must be at least 1";
+      if ckpt_every < 1 then fail "--checkpoint-every must be at least 1";
+      if reconstruct then
+        fail
+          "--reconstruct-so1 is not available with --stream (streaming \
+           consumes the recorded pairing)";
+      if Sys.file_exists file && Sys.is_directory file then
+        fail "--stream reads a single trace file, not a split directory";
+      let v, st =
         stream_drive ?max_live ~salvage ~follow ~idle ~ckpt ~ckpt_every file
-      with
-      | Error msg ->
-        Format.eprintf "racedet: %s@." msg;
-        exit 1
-      | Ok (v, st) ->
-        (* the streaming driver analyzes under hb1; the SHB extras are a
-           pure post-pass over the verdict it hands back *)
-        let v =
-          Racedetect.Postmortem.verdict_map
-            (Racedetect.Postmortem.with_order order)
-            v
-        in
-        let code = print_verdict v in
-        if stats then Format.eprintf "stream: %a@." Racedetect.Stream.pp_stats st;
-        if code <> 0 then exit code
+      in
+      (* the streaming driver analyzes under hb1; the SHB extras are a
+         pure post-pass over the verdict it hands back *)
+      let v =
+        Racedetect.Postmortem.verdict_map
+          (Racedetect.Postmortem.with_order order)
+          v
+      in
+      let code = print_verdict v in
+      if stats then Format.eprintf "stream: %a@." Racedetect.Stream.pp_stats st;
+      code
     end
   in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Post-mortem analysis of an existing trace file, batch or streaming \
-          ($(b,--stream)); both modes print the same report.  $(b,--salvage) \
-          analyzes damaged traces (degraded verdict, exit 3); \
-          $(b,--checkpoint) makes a long analysis survive a kill.  \
-          $(b,--order shb) additionally predicts suppressed races via the SHB \
-          order; exit codes are unaffected by the order."
-       ~exits:analysis_exits)
+  command "analyze"
+    ~doc:
+      "Post-mortem analysis of an existing trace file, batch or streaming \
+       ($(b,--stream)); both modes print the same report.  $(b,--salvage) \
+       analyzes damaged traces (degraded verdict, exit 3); \
+       $(b,--checkpoint) makes a long analysis survive a kill.  \
+       $(b,--order shb) additionally predicts suppressed races via the SHB \
+       order; exit codes are unaffected by the order."
+    ~exits:
+      (exits
+         [ (0, "the trace was analyzed and is race-free.");
+           (1, "an undecodable trace.");
+           (2, "data races were reported.");
+           ( 3,
+             "the trace was lossy (salvaged decode discarded damaged regions): \
+              the analysis is degraded and race-freedom cannot be certified; \
+              with $(b,--robust), the SC pool did not enumerate." )
+         ])
     Term.(
       const run $ file_arg $ reconstruct_arg $ stream_flag $ follow_arg
       $ max_live_arg $ stats_arg $ idle_arg $ salvage_arg $ checkpoint_arg
@@ -735,12 +661,9 @@ let faultfuzz_cmd =
     let doc = "Fuzz only this stock program (default: all of them)." in
     Arg.(value & opt (some string) None & info [ "program" ] ~docv:"NAME" ~doc)
   in
-  let run seeds jobs program_filter =
+  let run seeds jobs program_filter () =
     let jobs = resolve_jobs jobs in
-    if seeds < 1 then begin
-      Format.eprintf "racedet: --seeds must be at least 1@.";
-      exit 1
-    end;
+    if seeds < 1 then fail "--seeds must be at least 1";
     let report_of a =
       Format.asprintf "%a" (Racedetect.Report.pp_analysis ?loc_name:None) a
     in
@@ -750,8 +673,7 @@ let faultfuzz_cmd =
       | Some n ->
         (match Minilang.Programs.find n with
          | Some p -> [ (n, p) ]
-         | None ->
-           or_fail (Error (Printf.sprintf "unknown stock program %S" n)))
+         | None -> fail "unknown stock program %S" n)
     in
     (* one execution per program; every damage case reuses its encodings *)
     let fixtures =
@@ -771,9 +693,7 @@ let faultfuzz_cmd =
              let batch =
                match Tracing.Codec.decode v1 with
                | Ok t' -> report_of (Racedetect.Postmortem.analyze t')
-               | Error e ->
-                 or_fail
-                   (Error (Printf.sprintf "%s: fixture decode failed: %s" name e))
+               | Error e -> fail "%s: fixture decode failed: %s" name e
              in
              (name, t, batch, v1, v2))
            programs)
@@ -875,127 +795,82 @@ let faultfuzz_cmd =
                else `Fail (label ^ ": clean salvage report differs from strict")))
     in
     let resume_check label ~batch text seed =
+      let module R = Racedetect.Stream.Reader in
       let ckpt = Filename.temp_file "racedet-fuzz" ".ckpt" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
         (fun () ->
           let cut = seed * 7919 mod (String.length text + 1) in
-          let engine = Racedetect.Stream.create () in
-          let d = Tracing.Codec.decoder () in
-          let push () r = Racedetect.Stream.push engine r in
-          match Tracing.Codec.feed d (String.sub text 0 cut) ~f:push () with
-          | Error e -> `Fail (Printf.sprintf "%s: prefix feed failed: %s" label e)
-          | Ok () ->
-            Racedetect.Stream.checkpoint ckpt engine
-              ~extra:(false, Cs_strict d, cut);
-            (* the engine above is abandoned here — the simulated kill *)
-            (match
-               (Racedetect.Stream.restore ckpt
-                 : (Racedetect.Stream.t * (bool * codec_state * int), string)
-                   result)
-             with
-             | Error e -> `Fail (Printf.sprintf "%s: restore failed: %s" label e)
-             | Ok (_, (_, Cs_salvage _, _)) ->
-               `Fail (label ^ ": restore changed the codec kind")
-             | Ok (engine2, (_, Cs_strict d2, pos)) ->
-               let push2 () r = Racedetect.Stream.push engine2 r in
-               let rest = String.sub text pos (String.length text - pos) in
-               (match Tracing.Codec.feed d2 rest ~f:push2 () with
-                | Error e ->
-                  `Fail (Printf.sprintf "%s: resumed feed failed: %s" label e)
-                | Ok () ->
-                  (match Tracing.Codec.finish_feed d2 ~f:push2 () with
-                   | Error e ->
-                     `Fail (Printf.sprintf "%s: resumed finish failed: %s" label e)
-                   | Ok () ->
-                     (match Racedetect.Stream.finish engine2 with
-                      | Error e ->
-                        `Fail
-                          (Printf.sprintf "%s: resumed analysis failed: %s" label
-                             e)
-                      | Ok (a, _) ->
-                        if report_of a = batch then `Clean
-                        else `Fail (label ^ ": resumed report differs from batch"))))))
-    in
-    let results =
-      Engine.Parbatch.map_seeds ~jobs seeds (fun seed ->
-          let cases = ref 0
-          and degraded = ref 0
-          and refused = ref 0
-          and clean = ref 0
-          and fails = ref [] in
-          let record = function
-            | `Fail m ->
-              incr cases;
-              fails := m :: !fails
-            | `Degraded -> incr cases; incr degraded
-            | `Refused -> incr cases; incr refused
-            | `Clean -> incr cases; incr clean
+          let r = R.create ~salvage:false () in
+          let ( let* ) res f =
+            match res with
+            | Error e -> `Fail (Printf.sprintf "%s: %s" label e)
+            | Ok v -> f v
           in
-          Array.iter
+          let* () = R.feed r (String.sub text 0 cut) in
+          R.save r ckpt;
+          (* the reader above is abandoned here — the simulated kill *)
+          let* r = R.resume ~salvage:false ckpt in
+          let pos = R.offset r in
+          let* () = R.feed r (String.sub text pos (String.length text - pos)) in
+          let* v, _ = R.close r in
+          if report_of (Racedetect.Postmortem.verdict_analysis v) = batch then `Clean
+          else `Fail (label ^ ": resumed report differs from batch"))
+    in
+    (* every case's outcome, in seed, fixture, damage and version order *)
+    let outcomes =
+      Engine.Parbatch.map_seeds ~jobs seeds (fun seed ->
+          List.concat_map
             (fun (name, _t, batch, v1, v2) ->
-              List.iter
+              List.concat_map
                 (fun damage ->
-                  List.iter
+                  List.map
                     (fun (vn, text) ->
                       let damaged = Tracing.Corrupt.apply ~seed damage text in
                       let label =
                         Printf.sprintf "%s v%d seed %d %s" name vn seed
                           (damage_name damage)
                       in
-                      record (run_case label ~batch ~orig:text damaged))
+                      run_case label ~batch ~orig:text damaged)
                     [ (1, v1); (2, v2) ])
-                (kinds seed);
-              record
-                (resume_check
-                   (Printf.sprintf "%s seed %d kill+resume" name seed)
-                   ~batch v2 seed))
-            fixtures;
-          (!cases, !degraded, !refused, !clean, List.rev !fails))
+                (kinds seed)
+              @ [ resume_check
+                    (Printf.sprintf "%s seed %d kill+resume" name seed)
+                    ~batch v2 seed ])
+            (Array.to_list fixtures))
+      |> Array.to_list |> List.concat
     in
-    let cases = ref 0
-    and degraded = ref 0
-    and refused = ref 0
-    and clean = ref 0
-    and failures = ref (List.rev !preflight) in
-    Array.iter
-      (fun (c, d, r, cl, fs) ->
-        cases := !cases + c;
-        degraded := !degraded + d;
-        refused := !refused + r;
-        clean := !clean + cl;
-        failures := !failures @ fs)
-      results;
-    let failures = !failures in
+    let count o = List.length (List.filter (( = ) o) outcomes) in
+    let failures =
+      List.rev !preflight
+      @ List.filter_map (function `Fail m -> Some m | _ -> None) outcomes
+    in
     Format.printf
       "faultfuzz: %d program(s) x %d seed(s): %d case(s) — %d clean, %d \
        degraded, %d refused, %d invariant violation(s)@."
-      (Array.length fixtures) seeds !cases !clean !degraded !refused
-      (List.length failures);
+      (Array.length fixtures) seeds (List.length outcomes) (count `Clean)
+      (count `Degraded) (count `Refused) (List.length failures);
     List.iteri
       (fun i m -> if i < 20 then Format.printf "  FAIL %s@." m)
       failures;
     (match List.length failures with
      | n when n > 20 -> Format.printf "  ... and %d more@." (n - 20)
      | _ -> ());
-    if failures <> [] then exit 1
+    if failures <> [] then 1 else 0
   in
-  let exits =
-    Cmd.Exit.info 0 ~doc:"every robustness invariant held."
-    :: Cmd.Exit.info 1 ~doc:"usage error, or at least one invariant violation."
-    :: List.filter (fun i -> Cmd.Exit.info_code i > 1) Cmd.Exit.defaults
-  in
-  Cmd.v
-    (Cmd.info "faultfuzz"
-       ~doc:
-         "Fault-injection campaign over the trace pipeline: damage encoded \
-          traces (garbled bytes, flipped bits, dropped / duplicated / swapped \
-          / truncated lines), salvage-analyze the wreckage, and assert that \
-          no exception escapes, that lossy traces are never reported \
-          race-free, that clean salvages match the strict report byte for \
-          byte, and that checkpoint / kill / restore reproduces the batch \
-          report exactly."
-       ~exits)
+  command "faultfuzz"
+    ~doc:
+      "Fault-injection campaign over the trace pipeline: damage encoded \
+       traces (garbled bytes, flipped bits, dropped / duplicated / swapped \
+       / truncated lines), salvage-analyze the wreckage, and assert that \
+       no exception escapes, that lossy traces are never reported \
+       race-free, that clean salvages match the strict report byte for \
+       byte, and that checkpoint / kill / restore reproduces the batch \
+       report exactly."
+    ~exits:
+      (exits
+         [ (0, "every robustness invariant held.");
+           (1, "at least one invariant violation.") ])
     Term.(const run $ seeds_arg $ jobs_arg $ program_arg)
 
 (* -- enumerate ---------------------------------------------------------- *)
@@ -1012,8 +887,8 @@ let enumerate_cmd =
     in
     Arg.(value & flag & info [ "naive" ] ~doc)
   in
-  let run program limit naive =
-    let p = or_fail (load_program program) in
+  let run program limit naive () =
+    let p = load_program program in
     let mk () = Minilang.Interp.source p in
     let execs, complete =
       if naive then
@@ -1037,31 +912,29 @@ let enumerate_cmd =
     Format.printf "%d exhibit data races@." (List.length racy);
     if racy <> [] then begin
       Format.printf "the program is NOT data-race-free (Def 2.4)@.";
-      exit 2
+      2
     end
-    else if complete then
-      Format.printf "the program is data-race-free: every weak execution is SC@."
+    else if complete then begin
+      Format.printf "the program is data-race-free: every weak execution is SC@.";
+      0
+    end
     else begin
       Format.printf "exploration incomplete: no verdict@.";
-      exit 1
+      1
     end
   in
-  let exits =
-    Cmd.Exit.info 0 ~doc:"every SC execution was covered and none races."
-    :: Cmd.Exit.info 1
-         ~doc:
-           "usage error, or the exploration hit a bound before covering every \
-            execution (no verdict)."
-    :: Cmd.Exit.info 2 ~doc:"a racy SC execution was found (Def 2.4)."
-    :: List.filter (fun i -> Cmd.Exit.info_code i > 2) Cmd.Exit.defaults
-  in
-  Cmd.v
-    (Cmd.info "enumerate"
-       ~doc:
-         "Enumerate the SC executions (one representative per Mazurkiewicz \
-          trace, via dynamic partial-order reduction) and decide whether the \
-          program is data-race-free."
-       ~exits)
+  command "enumerate"
+    ~doc:
+      "Enumerate the SC executions (one representative per Mazurkiewicz \
+       trace, via dynamic partial-order reduction) and decide whether the \
+       program is data-race-free."
+    ~exits:
+      (exits
+         [ (0, "every SC execution was covered and none races.");
+           ( 1,
+             "the exploration hit a bound before covering every execution (no \
+              verdict)." );
+           (2, "a racy SC execution was found (Def 2.4).") ])
     Term.(const run $ program_arg $ limit_arg $ naive_arg)
 
 (* -- check (Condition 3.4) ---------------------------------------------- *)
@@ -1082,15 +955,12 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
-  let run program machine n limit exhaustive jobs =
+  let run program machine n limit exhaustive jobs () =
     let jobs = resolve_jobs jobs in
-    let p = or_fail (load_program program) in
+    let p = load_program program in
     let r = Memsim.Enumerate.explore ~limit (fun () -> Minilang.Interp.source p) in
-    if not r.Memsim.Enumerate.complete then begin
-      Format.eprintf
-        "racedet: SC enumeration incomplete; Condition 3.4 cannot be decided@.";
-      exit 1
-    end;
+    if not r.Memsim.Enumerate.complete then
+      fail "SC enumeration incomplete; Condition 3.4 cannot be decided";
     let pool = r.Memsim.Enumerate.executions in
     let failures = ref 0 in
     let total = ref 0 in
@@ -1113,11 +983,8 @@ let check_cmd =
             Explore.Dpor.explore ~limit ~model (fun () ->
                 Minilang.Interp.source p)
           in
-          if not w.Explore.Dpor.complete then begin
-            Format.eprintf "racedet: weak exploration incomplete for %s@."
-              (Memsim.Model.name model);
-            exit 1
-          end;
+          if not w.Explore.Dpor.complete then
+            fail "weak exploration incomplete for %s" (Memsim.Model.name model);
           let behaviours = Memsim.Enumerate.behaviours w.Explore.Dpor.executions in
           Engine.Parbatch.map_list ~jobs
             (fun e -> Racedetect.Condition.check ~sc:pool e)
@@ -1127,33 +994,29 @@ let check_cmd =
         else
           (* verdicts computed in parallel; reported in seed order *)
           Engine.Parbatch.map_seeds ~jobs n (fun seed ->
-              let e =
-                match machine with
-                | `Buffer ->
-                  Minilang.Interp.run ~model
-                    ~sched:(Memsim.Sched.adversarial ~seed ())
-                    p
-                | `Cache ->
-                  Coherence.Cmachine.run_program ~model
-                    ~sched:(Memsim.Sched.adversarial ~seed ())
-                    p
-              in
-              Racedetect.Condition.check ~sc:pool e)
+              Racedetect.Condition.check ~sc:pool
+                (exec_of p machine model `Adversarial 20_000 seed))
           |> Array.iteri (fun seed v -> report model (Printf.sprintf "seed=%d" seed) v))
       Memsim.Model.weak;
-    if !failures = 0 then
+    if !failures = 0 then begin
       Format.printf "Condition 3.4 obeyed on all %d weak executions%s@." !total
-        (if exhaustive then " (exhaustive behaviour coverage)" else "")
+        (if exhaustive then " (exhaustive behaviour coverage)" else "");
+      0
+    end
     else begin
       Format.printf "%d violation(s)@." !failures;
-      exit 2
+      2
     end
   in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Verify Condition 3.4 (Theorem 3.5) on weak executions of a program, \
-          against exhaustive SC enumeration.")
+  command "check"
+    ~doc:
+      "Verify Condition 3.4 (Theorem 3.5) on weak executions of a program, \
+       against exhaustive SC enumeration."
+    ~exits:
+      (exits
+         [ (0, "Condition 3.4 held on every checked weak execution.");
+           (1, "the SC or weak enumeration hit its bound (no verdict).");
+           (2, "Condition 3.4 was violated.") ])
     Term.(
       const run $ program_arg $ machine_arg $ seeds_arg $ limit_arg $ exhaustive_arg
       $ jobs_arg)
@@ -1165,8 +1028,8 @@ let sweep_cmd =
     let doc = "Schedules per model." in
     Arg.(value & opt int 100 & info [ "n"; "seeds" ] ~doc)
   in
-  let run program machine n max_steps =
-    let p = or_fail (load_program program) in
+  let run program machine n max_steps () =
+    let p = load_program program in
     Format.printf "%-6s %8s %10s %12s %12s@." "model" "runs" "racy-runs"
       "races(max)" "truncated";
     List.iter
@@ -1174,15 +1037,7 @@ let sweep_cmd =
         if not (machine = `Cache && Memsim.Model.fifo_buffer model) then begin
           let racy = ref 0 and max_races = ref 0 and truncated = ref 0 in
           for seed = 0 to n - 1 do
-            let e =
-              match machine with
-              | `Buffer ->
-                Minilang.Interp.run ~max_steps ~model
-                  ~sched:(Memsim.Sched.adversarial ~seed ()) p
-              | `Cache ->
-                Coherence.Cmachine.run_program ~max_steps ~model
-                  ~sched:(Memsim.Sched.adversarial ~seed ()) p
-            in
+            let e = exec_of p machine model `Adversarial max_steps seed in
             if e.Memsim.Exec.truncated then incr truncated;
             let races =
               List.length
@@ -1195,13 +1050,13 @@ let sweep_cmd =
           Format.printf "%-6s %8d %10d %12d %12d@." (Memsim.Model.name model) n !racy
             !max_races !truncated
         end)
-      Memsim.Model.all
+      Memsim.Model.all;
+    0
   in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Fuzz a program: run many adversarial schedules on every model and \
-          summarize how often data races actually materialize.")
+  command "sweep"
+    ~doc:
+      "Fuzz a program: run many adversarial schedules on every model and \
+       summarize how often data races actually materialize."
     Term.(const run $ program_arg $ machine_arg $ seeds_arg $ max_steps_arg)
 
 (* -- graph (DOT export) --------------------------------------------------- *)
@@ -1211,22 +1066,22 @@ let graph_cmd =
     let doc = "Write the DOT graph here instead of standard output." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let run program machine model sched seed max_steps out =
+  let run program machine model sched seed max_steps out () =
     let p, e = run_exec program machine model sched seed max_steps in
     let a = Racedetect.Postmortem.analyze_execution e in
     let dot = Racedetect.Report.to_dot ~loc_name:(Minilang.Ast.loc_name p) a in
-    match out with
-    | None -> print_string dot
-    | Some path ->
-      Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc dot);
-      Format.printf "wrote %s@." path
+    (match out with
+     | None -> print_string dot
+     | Some path ->
+       Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc dot);
+       Format.printf "wrote %s@." path);
+    0
   in
-  Cmd.v
-    (Cmd.info "graph"
-       ~doc:
-         "Emit the augmented happens-before-1 graph (Figure 3 style) as Graphviz \
-          DOT: po edges solid, so1 dashed, races red and doubly directed, first \
-          partitions highlighted.")
+  command "graph"
+    ~doc:
+      "Emit the augmented happens-before-1 graph (Figure 3 style) as Graphviz \
+       DOT: po edges solid, so1 dashed, races red and doubly directed, first \
+       partitions highlighted."
     Term.(
       const run $ program_arg $ machine_arg $ model_arg $ sched_arg $ seed_arg
       $ max_steps_arg $ out_arg)
@@ -1253,7 +1108,7 @@ let gen_cmd =
     let doc = "Operations per processor." in
     Arg.(value & opt int 4 & info [ "ops" ] ~doc)
   in
-  let run kind seed procs ops =
+  let run kind seed procs ops () =
     let config =
       { Minilang.Gen.default_config with Minilang.Gen.n_procs = procs; ops_per_proc = ops }
     in
@@ -1264,13 +1119,13 @@ let gen_cmd =
       | `Ra -> Minilang.Gen.random_racefree_ra ~config ~seed ()
     in
     let p = { p with Minilang.Ast.name = "generated" } in
-    print_string (Minilang.Parser.to_source p)
+    print_string (Minilang.Parser.to_source p);
+    0
   in
-  Cmd.v
-    (Cmd.info "gen"
-       ~doc:
-         "Emit a random program (in the concrete syntax) from the Monte-Carlo \
-          populations used to validate Condition 3.4.")
+  command "gen"
+    ~doc:
+      "Emit a random program (in the concrete syntax) from the Monte-Carlo \
+       populations used to validate Condition 3.4."
     Term.(const run $ kind_arg $ gen_seed_arg $ procs_arg $ ops_arg)
 
 (* -- replay (SCP debugger) ----------------------------------------------- *)
@@ -1284,41 +1139,46 @@ let replay_cmd =
     let doc = "Named location to put a watchpoint on (repeatable)." in
     Arg.(value & opt_all string [] & info [ "w"; "watch" ] ~docv:"LOC" ~doc)
   in
-  let run program model sched seed max_steps limit watches =
-    let p = or_fail (load_program program) in
+  let run program model sched seed max_steps limit watches () =
+    let p = load_program program in
+    let watched =
+      List.map
+        (fun name ->
+          match List.assoc_opt name p.Minilang.Ast.symbols with
+          | Some loc -> (name, loc)
+          | None -> fail "unknown location %S" name)
+        watches
+    in
     let weak =
       Minilang.Interp.run ~max_steps ~model ~sched:(make_sched sched seed) p
     in
     let r = Memsim.Enumerate.explore ~limit (fun () -> Minilang.Interp.source p) in
-    if not r.Memsim.Enumerate.complete then begin
-      Format.eprintf "racedet: SC enumeration incomplete; prefix replay needs ground truth@.";
-      exit 1
-    end;
+    if not r.Memsim.Enumerate.complete then
+      fail "SC enumeration incomplete; prefix replay needs ground truth";
     match
       Racedetect.Scpreplay.of_weak_execution ~sc:r.Memsim.Enumerate.executions
         ~source:(fun () -> Minilang.Interp.source p)
         weak
     with
-    | None -> Format.eprintf "racedet: empty SC pool@."; exit 1
+    | None -> fail "empty SC pool"
     | Some session ->
       let loc_name = Minilang.Ast.loc_name p in
       Format.printf "%a@." (Racedetect.Scpreplay.pp_session ~loc_name) session;
       List.iter
-        (fun name ->
-          match List.assoc_opt name p.Minilang.Ast.symbols with
-          | None -> Format.eprintf "racedet: unknown location %S@." name
-          | Some loc ->
-            Format.printf "@.watch %s:" name;
-            List.iter
-              (fun (step, v) -> Format.printf " [step %d] %d" step v)
-              (Racedetect.Scpreplay.watch session loc);
-            Format.printf "@.")
-        watches
+        (fun (name, loc) ->
+          Format.printf "@.watch %s:" name;
+          List.iter
+            (fun (step, v) -> Format.printf " [step %d] %d" step v)
+            (Racedetect.Scpreplay.watch session loc);
+          Format.printf "@.")
+        watched;
+      0
   in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:
-         "Replay the sequentially consistent prefix of a weak execution on an SC           machine, with optional watchpoints — §5's \"debug the SC part with SC           tools\".")
+  command "replay"
+    ~doc:
+      "Replay the sequentially consistent prefix of a weak execution on an SC \
+       machine, with optional watchpoints — §5's \"debug the SC part with SC \
+       tools\"."
     Term.(
       const run $ program_arg $ model_arg $ sched_arg $ seed_arg $ max_steps_arg
       $ limit_arg $ watch_arg)
@@ -1326,8 +1186,8 @@ let replay_cmd =
 (* -- cost ---------------------------------------------------------------- *)
 
 let cost_cmd =
-  let run program seed =
-    let p = or_fail (load_program program) in
+  let run program seed () =
+    let p = load_program program in
     Format.printf "%-6s %10s %12s@." "model" "cycles" "stalls";
     List.iter
       (fun model ->
@@ -1337,29 +1197,27 @@ let cost_cmd =
         let est = Memsim.Cost.estimate ~mode:model e in
         Format.printf "%-6s %10d %12d@." (Memsim.Model.name model)
           est.Memsim.Cost.makespan est.Memsim.Cost.stall_cycles)
-      Memsim.Model.all
+      Memsim.Model.all;
+    0
   in
-  Cmd.v
-    (Cmd.info "cost"
-       ~doc:
-         "Estimate execution time under each model's stall policy (the price of a \
-          sequentially consistent debug mode).")
+  command "cost"
+    ~doc:
+      "Estimate execution time under each model's stall policy (the price of a \
+       sequentially consistent debug mode)."
     Term.(const run $ program_arg $ seed_arg)
 
 (* -- triage ------------------------------------------------------------ *)
 
 let triage_exits =
-  Cmd.Exit.info 0
-    ~doc:
-      "every data candidate was REFUTED (or none existed): within the \
-       exploration bounds the program is data-race-free."
-  :: Cmd.Exit.info 1 ~doc:"usage or I/O error."
-  :: Cmd.Exit.info 2 ~doc:"at least one data candidate was CONFIRMED by a witness execution."
-  :: Cmd.Exit.info 3
-       ~doc:
-         "no candidate was confirmed but at least one is UNKNOWN (an \
-          exploration bound was hit before the candidate could be refuted)."
-  :: List.filter (fun i -> Cmd.Exit.info_code i > 3) Cmd.Exit.defaults
+  exits
+    [ ( 0,
+        "every data candidate was REFUTED (or none existed): within the \
+         exploration bounds the program is data-race-free." );
+      (2, "at least one data candidate was CONFIRMED by a witness execution.");
+      ( 3,
+        "no candidate was confirmed but at least one is UNKNOWN (an \
+         exploration bound was hit before the candidate could be refuted)." )
+    ]
 
 let triage_steps_arg =
   let doc =
@@ -1373,7 +1231,6 @@ let triage_limit_arg =
   Arg.(value & opt int 2_000 & info [ "limit" ] ~docv:"N" ~doc)
 
 let write_witnesses dir (r : Explore.Triage.report) =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   List.iteri
     (fun i (v : Explore.Triage.verdict) ->
       match v.Explore.Triage.witness with
@@ -1387,6 +1244,7 @@ let write_witnesses dir (r : Explore.Triage.report) =
 
 let run_triage p ~max_steps ~limit ~sync ~jobs ~model ~witness_dir =
   or_fail (Minilang.Ast.validate p);
+  Option.iter (fun dir -> or_fail (Explore.Witness.ensure_dir dir)) witness_dir;
   let r = Explore.Triage.run ~max_steps ~limit ~sync ~jobs ~model p in
   Format.printf "%a@." Explore.Triage.pp r;
   Option.iter (fun dir -> write_witnesses dir r) witness_dir;
@@ -1417,19 +1275,18 @@ let triage_cmd =
     let doc = "Also triage the unordered sync-sync pairs (informational)." in
     Arg.(value & flag & info [ "sync" ] ~doc)
   in
-  let run program max_steps limit sync jobs model witness_dir =
+  let run program max_steps limit sync jobs model witness_dir () =
     let jobs = resolve_jobs jobs in
-    let p = or_fail (load_program program) in
-    exit (run_triage p ~max_steps ~limit ~sync ~jobs ~model ~witness_dir)
+    let p = load_program program in
+    run_triage p ~max_steps ~limit ~sync ~jobs ~model ~witness_dir
   in
-  Cmd.v
-    (Cmd.info "triage"
-       ~doc:
-         "Classify every static race candidate ($(b,racedet lint)) by \
-          candidate-directed bounded exploration: CONFIRMED with a minimal \
-          replayable witness trace, REFUTED by complete DPOR coverage within \
-          the bounds, or UNKNOWN when a bound was hit."
-       ~exits:triage_exits)
+  command "triage"
+    ~doc:
+      "Classify every static race candidate ($(b,racedet lint)) by \
+       candidate-directed bounded exploration: CONFIRMED with a minimal \
+       replayable witness trace, REFUTED by complete DPOR coverage within \
+       the bounds, or UNKNOWN when a bound was hit."
+    ~exits:triage_exits
     Term.(
       const run $ program_arg $ triage_steps_arg $ triage_limit_arg $ sync_flag
       $ jobs_arg $ sc_model_arg $ witness_dir_arg)
@@ -1453,29 +1310,26 @@ let variants_cmd =
     in
     Arg.(value & opt (some string) None & info [ "witness-dir" ] ~docv:"DIR" ~doc)
   in
-  let run seeds jobs witness_dir =
+  let run seeds jobs witness_dir () =
     let jobs = resolve_jobs jobs in
+    Option.iter (fun dir -> or_fail (Explore.Witness.ensure_dir dir)) witness_dir;
     let r = Explore.Vcampaign.run ~seeds ~jobs ?witness_dir () in
     Format.printf "%a@." Explore.Vcampaign.pp r;
-    exit (Explore.Vcampaign.exit_code r)
+    Explore.Vcampaign.exit_code r
   in
-  let exits =
-    Cmd.Exit.info 0 ~doc:"every verdict matches the lattice prediction"
-    :: Cmd.Exit.info 1
-         ~doc:
-           "a verdict diverged from its prediction, or a witness failed \
-            verification"
-    :: Cmd.Exit.defaults
-  in
-  Cmd.v
-    (Cmd.info "variants"
-       ~doc:
-         "Sweep the hardware-variant lattice (canonical models, bounded \
-          buffers, stalling/bypassing reads, weakened drains) over the stock \
-          litmus programs and seeds, asserting per variant whether Condition \
-          3.4 is preserved and whether fences really order buffered writes; \
-          violating variants get minimized, replayable v2 witness traces."
-       ~exits)
+  command "variants"
+    ~doc:
+      "Sweep the hardware-variant lattice (canonical models, bounded \
+       buffers, stalling/bypassing reads, weakened drains) over the stock \
+       litmus programs and seeds, asserting per variant whether Condition \
+       3.4 is preserved and whether fences really order buffered writes; \
+       violating variants get minimized, replayable v2 witness traces."
+    ~exits:
+      (exits
+         [ (0, "every verdict matches the lattice prediction.");
+           ( 1,
+             "a verdict diverged from its prediction, or a witness failed \
+              verification." ) ])
     Term.(const run $ seeds_arg $ jobs_arg $ witness_arg)
 
 (* -- lint -------------------------------------------------------------- *)
@@ -1488,13 +1342,10 @@ let json_flag =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let lint_cmd =
-  let run program sync model triage json max_steps limit jobs witness_dir =
-    let p = or_fail (load_program program) in
+  let run program sync model triage json max_steps limit jobs witness_dir () =
+    let p = load_program program in
     or_fail (Minilang.Ast.validate p);
-    if json && triage then begin
-      Format.eprintf "racedet: --json and --triage are mutually exclusive@.";
-      exit 1
-    end;
+    if json && triage then fail "--json and --triage are mutually exclusive";
     let r = Staticcheck.Lint.analyze p in
     let delays = Staticcheck.Delayset.analyze p r.Staticcheck.Lint.results in
     if json then
@@ -1507,11 +1358,11 @@ let lint_cmd =
     if triage then begin
       let jobs = resolve_jobs jobs in
       Format.printf "@.";
-      exit
-        (run_triage p ~max_steps ~limit ~sync ~jobs ~model:Memsim.Model.SC
-           ~witness_dir)
+      run_triage p ~max_steps ~limit ~sync ~jobs ~model:Memsim.Model.SC
+        ~witness_dir
     end
-    else if r.Staticcheck.Lint.data_candidates <> [] then exit 2
+    else if r.Staticcheck.Lint.data_candidates <> [] then 2
+    else 0
   in
   let sync_arg =
     let doc = "Itemize the unordered sync-sync pairs instead of counting them." in
@@ -1533,17 +1384,25 @@ let lint_cmd =
       & opt (some model_conv) None
       & info [ "m"; "model" ] ~docv:"MODEL" ~doc)
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically check synchronization discipline and list candidate race \
-          pairs (a sound over-approximation: exits 2 when data candidates \
-          exist, 0 when the program is statically race-free).  Every data \
-          candidate carries its delay-set explanation: the critical cycle \
-          witnessing how weak hardware could order it, or a note that no \
-          cycle exists.  With $(b,--triage), follow up with the dynamic \
-          classification of every candidate; with $(b,--json), emit the \
-          machine-readable report.")
+  command "lint"
+    ~doc:
+      "Statically check synchronization discipline and list candidate race \
+       pairs (a sound over-approximation: exits 2 when data candidates \
+       exist, 0 when the program is statically race-free).  Every data \
+       candidate carries its delay-set explanation: the critical cycle \
+       witnessing how weak hardware could order it, or a note that no \
+       cycle exists.  With $(b,--triage), follow up with the dynamic \
+       classification of every candidate; with $(b,--json), emit the \
+       machine-readable report."
+    ~exits:
+      (exits
+         [ ( 0,
+             "no data candidate (with $(b,--triage): every candidate was \
+              REFUTED)." );
+           (2, "data candidates exist (with $(b,--triage): one was CONFIRMED).");
+           ( 3,
+             "with $(b,--triage): no candidate was confirmed but at least one \
+              is UNKNOWN." ) ])
     Term.(
       const run $ program_arg $ sync_arg $ model_opt_arg $ triage_arg
       $ json_flag $ triage_steps_arg $ triage_limit_arg $ jobs_arg
@@ -1687,8 +1546,8 @@ let fence_cmd =
     Arg.(value & opt int 20_000 & info [ "sc-limit" ] ~docv:"N" ~doc)
   in
   let run program model repair_out explain verify json max_steps limit seeds
-      sc_limit jobs =
-    let p = or_fail (load_program program) in
+      sc_limit jobs () =
+    let p = load_program program in
     or_fail (Minilang.Ast.validate p);
     let plan = Staticcheck.Repair.plan ~model p in
     let check =
@@ -1699,12 +1558,11 @@ let fence_cmd =
              plan)
       else None
     in
-    (match repair_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Staticcheck.Repair.source plan);
-      close_out oc
-    | None -> ());
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc (Staticcheck.Repair.source plan)))
+      repair_out;
     let module R = Staticcheck.Repair in
     let module D = Staticcheck.Delayset in
     if json then print_endline (Staticcheck.Jsonout.to_string (fence_json plan check))
@@ -1756,37 +1614,30 @@ let fence_cmd =
       | None -> ()
     end;
     match check with
-    | Some c -> exit (Explore.Repaircheck.exit_code c)
-    | None -> if not (R.statically_drf plan) then exit 2
+    | Some c -> Explore.Repaircheck.exit_code c
+    | None -> if R.statically_drf plan then 0 else 2
   in
-  let exits =
-    Cmd.Exit.info 0
-      ~doc:
-        "a repair was synthesized (and, with $(b,--verify), every former \
-         candidate was REFUTED on it and Condition 3.4 held)."
-    :: Cmd.Exit.info 1 ~doc:"usage or I/O error."
-    :: Cmd.Exit.info 2
-         ~doc:
-           "the repair left data candidates, a candidate survived on the \
-            repaired program, or Condition 3.4 failed."
-    :: Cmd.Exit.info 3
-         ~doc:
-           "inconclusive: an exploration bound was hit or the Condition 3.4 \
-            check was skipped."
-    :: List.filter (fun i -> Cmd.Exit.info_code i > 3) Cmd.Exit.defaults
-  in
-  Cmd.v
-    (Cmd.info "fence"
-       ~doc:
-         "Shasha-Snir delay-set analysis and verified repair: enumerate the \
-          critical cycles of the static conflict graph, compute the delay \
-          pairs, and synthesize the minimal variant-aware repair — fence \
-          insertions where the model's fence class drains, release/acquire \
-          promotions for the verified data-race-free program.  With \
-          $(b,--repair) write the repaired program; with $(b,--verify) prove \
-          it dynamically (triage REFUTES every former candidate; Condition \
-          3.4 holds)."
-       ~exits)
+  command "fence"
+    ~doc:
+      "Shasha-Snir delay-set analysis and verified repair: enumerate the \
+       critical cycles of the static conflict graph, compute the delay \
+       pairs, and synthesize the minimal variant-aware repair — fence \
+       insertions where the model's fence class drains, release/acquire \
+       promotions for the verified data-race-free program.  With \
+       $(b,--repair) write the repaired program; with $(b,--verify) prove \
+       it dynamically (triage REFUTES every former candidate; Condition \
+       3.4 holds)."
+    ~exits:
+      (exits
+         [ ( 0,
+             "a repair was synthesized (and, with $(b,--verify), every former \
+              candidate was REFUTED on it and Condition 3.4 held)." );
+           ( 2,
+             "the repair left data candidates, a candidate survived on the \
+              repaired program, or Condition 3.4 failed." );
+           ( 3,
+             "inconclusive: an exploration bound was hit or the Condition 3.4 \
+              check was skipped." ) ])
     Term.(
       const run $ program_arg $ model_arg $ repair_arg $ explain_arg
       $ verify_arg $ json_flag $ triage_steps_arg $ triage_limit_arg
@@ -1930,15 +1781,15 @@ let robust_cmd =
     in
     Arg.(value & opt (some string) None & info [ "witness-dir" ] ~docv:"DIR" ~doc)
   in
-  let run program model explain json witness_dir max_steps limit sc_limit =
-    let p = or_fail (load_program program) in
+  let run program model explain json witness_dir max_steps limit sc_limit () =
+    let p = load_program program in
     or_fail (Minilang.Ast.validate p);
     let witness_path =
-      match witness_dir with
-      | None -> None
-      | Some dir ->
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        Some (Filename.concat dir (p.Minilang.Ast.name ^ ".robust.trace"))
+      Option.map
+        (fun dir ->
+          or_fail (Explore.Witness.ensure_dir dir);
+          Filename.concat dir (p.Minilang.Ast.name ^ ".robust.trace"))
+        witness_dir
     in
     let t =
       Explore.Robustcheck.run ~max_steps ~limit ~sc_limit ?witness_path ~model
@@ -1946,37 +1797,31 @@ let robust_cmd =
     in
     if json then print_endline (Staticcheck.Jsonout.to_string (robust_json t))
     else Format.printf "%a@." (Explore.Robustcheck.pp ~explain) t;
-    match Explore.Robustcheck.exit_code t with 0 -> () | c -> exit c
+    Explore.Robustcheck.exit_code t
   in
-  let exits =
-    Cmd.Exit.info 0
-      ~doc:
-        "ROBUST: proved statically (no feasible critical cycle, no coherence \
-         hazard) or dynamically (exhaustive closure, every behaviour \
-         SC-explainable)."
-    :: Cmd.Exit.info 1 ~doc:"usage or I/O error, or a witness failed verification."
-    :: Cmd.Exit.info 2
-         ~doc:"NOT ROBUST: a replay-verified non-SC witness was found."
-    :: Cmd.Exit.info 3
-         ~doc:
-           "UNKNOWN: the exploration budget was hit or the SC pool did not \
-            enumerate."
-    :: List.filter (fun i -> Cmd.Exit.info_code i > 3) Cmd.Exit.defaults
-  in
-  Cmd.v
-    (Cmd.info "robust"
-       ~doc:
-         "Static robustness certification with a dynamic closure: classify \
-          every Shasha-Snir critical cycle as feasible or infeasible under \
-          the model's hardware variant (mapping each program-order edge to \
-          the store-buffer delay kind that would break it), prove ROBUST \
-          when none is feasible, and otherwise hunt for a minimal non-SC \
-          execution with candidate-directed DPOR, emitted as a \
-          replay-verified v2 witness.  Reports the static verdict at every \
-          lattice point ($(b,racedet variants)).  Robustness is orthogonal \
-          to race-freedom: sb is racy and non-robust, iriw is racy yet \
-          robust everywhere."
-       ~exits)
+  command "robust"
+    ~doc:
+      "Static robustness certification with a dynamic closure: classify \
+       every Shasha-Snir critical cycle as feasible or infeasible under \
+       the model's hardware variant (mapping each program-order edge to \
+       the store-buffer delay kind that would break it), prove ROBUST \
+       when none is feasible, and otherwise hunt for a minimal non-SC \
+       execution with candidate-directed DPOR, emitted as a \
+       replay-verified v2 witness.  Reports the static verdict at every \
+       lattice point ($(b,racedet variants)).  Robustness is orthogonal \
+       to race-freedom: sb is racy and non-robust, iriw is racy yet \
+       robust everywhere."
+    ~exits:
+      (exits
+         [ ( 0,
+             "ROBUST: proved statically (no feasible critical cycle, no \
+              coherence hazard) or dynamically (exhaustive closure, every \
+              behaviour SC-explainable)." );
+           (1, "a witness failed verification.");
+           (2, "NOT ROBUST: a replay-verified non-SC witness was found.");
+           ( 3,
+             "UNKNOWN: the exploration budget was hit or the SC pool did not \
+              enumerate." ) ])
     Term.(
       const run $ program_arg $ model_arg $ explain_arg $ json_flag
       $ witness_dir_arg $ max_steps_arg $ limit_arg $ sc_limit_arg)
@@ -2009,7 +1854,7 @@ let harness_programs_arg =
 let default_harness_programs () =
   let stock =
     List.map
-      (fun n -> (n, or_fail (load_program n)))
+      (fun n -> (n, load_program n))
       [ "fig1b"; "barrier_phases"; "lazy_init"; "counter_racy" ]
   in
   let config =
@@ -2024,7 +1869,7 @@ let harness_fixtures ?seeds_per_program programs =
   let progs =
     if programs = [] then default_harness_programs ()
     else
-      List.map (fun n -> (Filename.basename n, or_fail (load_program n))) programs
+      List.map (fun n -> (Filename.basename n, load_program n)) programs
   in
   or_fail (Serve.Harness.fixtures ?seeds_per_program progs)
 
@@ -2099,7 +1944,7 @@ let serve_cmd =
   in
   let run listen shards max_sessions global_live max_live idle_timeout
       session_timeout finish_timeout checkpoint_dir checkpoint_every resume
-      quiet =
+      quiet () =
     let stop = Atomic.make false in
     let request_stop _ = Atomic.set stop true in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
@@ -2126,23 +1971,20 @@ let serve_cmd =
       }
     in
     match Serve.Server.run ~stop cfg with
-    | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "racedet: %s@." msg;
-      exit 1
+    | Ok () -> 0
+    | Error msg -> fail "%s" msg
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the analysis daemon: many concurrent trace sessions over \
-          Unix/TCP sockets, one streaming engine per connection, sharded \
-          across a domain pool — with per-session fault isolation, load \
-          shedding, idle/slowloris timeouts, and SIGKILL-safe checkpoints \
-          ($(b,--checkpoint-dir) + $(b,--resume))."
-       ~exits:
-         (Cmd.Exit.info 0 ~doc:"the daemon stopped gracefully."
-          :: Cmd.Exit.info 1 ~doc:"startup failed (bad address, bind error)."
-          :: List.filter (fun i -> Cmd.Exit.info_code i > 3) Cmd.Exit.defaults))
+  command "serve"
+    ~doc:
+      "Run the analysis daemon: many concurrent trace sessions over \
+       Unix/TCP sockets, one streaming engine per connection, sharded \
+       across a domain pool — with per-session fault isolation, load \
+       shedding, idle/slowloris timeouts, and SIGKILL-safe checkpoints \
+       ($(b,--checkpoint-dir) + $(b,--resume))."
+    ~exits:
+      (exits
+         [ (0, "the daemon stopped gracefully.");
+           (1, "startup failed (bad address, bind error).") ])
     Term.(
       const run $ listen_arg $ shards_arg $ max_sessions_arg $ global_live_arg
       $ max_live_arg $ idle_timeout_arg $ session_timeout_arg
@@ -2197,45 +2039,41 @@ let client_cmd =
     let s = if s = "" then "cli" else s in
     String.sub s 0 (min 64 (String.length s))
   in
-  let run addr trace session chunk delay abort_after metrics stop =
-    if metrics then print_string (or_fail (Serve.Client.metrics addr))
-    else if stop then or_fail (Serve.Client.stop addr)
-    else
-      match trace with
-      | None ->
-        Format.eprintf "racedet: a TRACE argument is required (or --metrics/--stop)@.";
-        exit 1
-      | Some file ->
-        let text =
-          try In_channel.with_open_bin file In_channel.input_all
-          with Sys_error msg -> or_fail (Error msg)
-        in
-        let id =
-          match session with Some s -> s | None -> sanitize_id (Filename.basename file)
-        in
-        let o =
-          or_fail
-            (Serve.Client.session ~chunk ~delay ?abort_after addr ~id ~trace:text)
-        in
-        print_string o.Serve.Client.report;
-        let code = Serve.Protocol.exit_code o.Serve.Client.cls in
-        if code <> 0 then exit code
+  let run addr trace session chunk delay abort_after metrics stop () =
+    match trace with
+    | _ when metrics ->
+      print_string (or_fail (Serve.Client.metrics addr));
+      0
+    | _ when stop ->
+      or_fail (Serve.Client.stop addr);
+      0
+    | None -> fail "a TRACE argument is required (or --metrics/--stop)"
+    | Some file ->
+      let text = In_channel.with_open_bin file In_channel.input_all in
+      let id =
+        match session with Some s -> s | None -> sanitize_id (Filename.basename file)
+      in
+      let o =
+        or_fail
+          (Serve.Client.session ~chunk ~delay ?abort_after addr ~id ~trace:text)
+      in
+      print_string o.Serve.Client.report;
+      Serve.Protocol.exit_code o.Serve.Client.cls
   in
-  Cmd.v
-    (Cmd.info "client"
-       ~doc:
-         "Stream a trace to a $(b,racedet serve) daemon and print the verdict \
-          report — byte-identical to $(b,racedet analyze) on the same trace.  \
-          If the server offers a resume offset (it holds a checkpoint for this \
-          session id), only the tail is resent."
-       ~exits:
-         (Cmd.Exit.info 0 ~doc:"the session was analyzed and is race-free."
-          :: Cmd.Exit.info 1 ~doc:"transport/usage error, or the server refused the session."
-          :: Cmd.Exit.info 2 ~doc:"data races were reported."
-          :: Cmd.Exit.info 3 ~doc:"the session was lossy: the analysis is degraded."
-          :: Cmd.Exit.info 4 ~doc:"the session was shed by the server (over budget)."
-          :: Cmd.Exit.info 5 ~doc:"the session was aborted by the server (timeout/shutdown)."
-          :: List.filter (fun i -> Cmd.Exit.info_code i > 5) Cmd.Exit.defaults))
+  command "client"
+    ~doc:
+      "Stream a trace to a $(b,racedet serve) daemon and print the verdict \
+       report — byte-identical to $(b,racedet analyze) on the same trace.  \
+       If the server offers a resume offset (it holds a checkpoint for this \
+       session id), only the tail is resent."
+    ~exits:
+      (exits
+         [ (0, "the session was analyzed and is race-free.");
+           (1, "a transport error, or the server refused the session.");
+           (2, "data races were reported.");
+           (3, "the session was lossy: the analysis is degraded.");
+           (4, "the session was shed by the server (over budget).");
+           (5, "the session was aborted by the server (timeout/shutdown).") ])
     Term.(
       const run $ connect_arg $ trace_arg $ session_arg $ chunk_arg $ delay_arg
       $ abort_after_arg $ metrics_flag $ stop_flag)
@@ -2261,32 +2099,34 @@ let loadgen_cmd =
     let doc = "Fail (exit 1) below $(docv) aggregate events/sec." in
     Arg.(value & opt float 0. & info [ "min-throughput" ] ~docv:"EPS" ~doc)
   in
-  let run addr programs sessions concurrency chunk seeds min_throughput =
+  let run addr programs sessions concurrency chunk seeds min_throughput () =
     let fx = harness_fixtures ~seeds_per_program:seeds programs in
     let r = Serve.Harness.load ~concurrency ~chunk ~sessions ~fixtures:fx addr in
     List.iter (fun m -> Format.eprintf "racedet-loadgen: %s@." m)
       r.Serve.Harness.l_failures;
     Format.printf "%a@." Serve.Harness.pp_load r;
-    if r.Serve.Harness.l_failures <> [] then exit 1;
-    if min_throughput > 0. && r.Serve.Harness.l_events_per_sec < min_throughput
+    if r.Serve.Harness.l_failures <> [] then 1
+    else if
+      min_throughput > 0. && r.Serve.Harness.l_events_per_sec < min_throughput
     then begin
       Format.eprintf
         "racedet-loadgen: throughput %.0f events/sec below the %.0f floor@."
         r.Serve.Harness.l_events_per_sec min_throughput;
-      exit 1
+      1
     end
+    else 0
   in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Drive a running daemon with many interleaved trace sessions and \
-          assert every verdict and report byte-identical to a local reference \
-          analysis; prints aggregate throughput."
-       ~exits:
-         (Cmd.Exit.info 0 ~doc:"every session matched its reference."
-          :: Cmd.Exit.info 1
-               ~doc:"a verdict mismatched, a session failed, or throughput was below the floor."
-          :: List.filter (fun i -> Cmd.Exit.info_code i > 3) Cmd.Exit.defaults))
+  command "loadgen"
+    ~doc:
+      "Drive a running daemon with many interleaved trace sessions and \
+       assert every verdict and report byte-identical to a local reference \
+       analysis; prints aggregate throughput."
+    ~exits:
+      (exits
+         [ (0, "every session matched its reference.");
+           ( 1,
+             "a verdict mismatched, a session failed, or throughput was below \
+              the floor." ) ])
     Term.(
       const run $ connect_arg $ harness_programs_arg $ sessions_arg
       $ concurrency_arg $ chunk_arg $ seeds_arg $ min_throughput_arg)
@@ -2304,7 +2144,7 @@ let chaos_cmd =
     let doc = "Suppress scenario progress lines on stderr." in
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
   in
-  let run programs seeds log_dir quiet =
+  let run programs seeds log_dir quiet () =
     let fx = harness_fixtures programs in
     let log =
       if quiet then ignore else fun m -> Printf.eprintf "racedet-chaos: %s\n%!" m
@@ -2318,29 +2158,27 @@ let chaos_cmd =
       (fun v -> Format.eprintf "racedet-chaos: violation: %s@." v)
       r.Serve.Harness.c_violations;
     Format.printf "%a@." Serve.Harness.pp_chaos r;
-    let code = Serve.Harness.chaos_exit_code r in
-    if code <> 0 then exit code
+    Serve.Harness.chaos_exit_code r
   in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Fault-injection campaign against real $(b,racedet serve) daemons: \
-          concurrent baseline sessions (cross-talk check), corrupted frames, \
-          mid-stream connection kills, slowloris writers, duplicate session \
-          ids, and SIGKILL-then-$(b,--resume) — asserting lossy sessions are \
-          never certified race-free, resumed verdicts are byte-identical, and \
-          the server stays live throughout."
-       ~exits:
-         (Cmd.Exit.info 0 ~doc:"every invariant held."
-          :: Cmd.Exit.info 1 ~doc:"an invariant was violated (or the campaign could not run)."
-          :: List.filter (fun i -> Cmd.Exit.info_code i > 3) Cmd.Exit.defaults))
+  command "chaos"
+    ~doc:
+      "Fault-injection campaign against real $(b,racedet serve) daemons: \
+       concurrent baseline sessions (cross-talk check), corrupted frames, \
+       mid-stream connection kills, slowloris writers, duplicate session \
+       ids, and SIGKILL-then-$(b,--resume) — asserting lossy sessions are \
+       never certified race-free, resumed verdicts are byte-identical, and \
+       the server stays live throughout."
+    ~exits:
+      (exits
+         [ (0, "every invariant held.");
+           (1, "an invariant was violated (or the campaign could not run).") ])
     Term.(const run $ harness_programs_arg $ seeds_arg $ log_dir_arg $ quiet_arg)
 
 let () =
   let doc = "dynamic data-race detection on weak memory systems (ISCA 1991)" in
   let info = Cmd.info "racedet" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [ list_cmd; show_cmd; run_cmd; detect_cmd; trace_cmd; analyze_cmd;
             faultfuzz_cmd; enumerate_cmd; check_cmd; cost_cmd; replay_cmd;

@@ -20,7 +20,13 @@ let replay ~source ~(witness : Memsim.Exec.t) ~scp ~(weak : Memsim.Exec.t) =
       (List.map (fun id -> Memsim.Op.identity weak.Memsim.Exec.ops.(id)) scp)
   in
   let remaining = ref (Idents.cardinal scp_idents) in
-  let m = Memsim.Machine.create ~model:Memsim.Model.SC (source ()) in
+  (* the ops each step records, collected as the machine records them *)
+  let step_ops = ref [] in
+  let m =
+    Memsim.Machine.create
+      ~on_op:(fun o -> step_ops := o :: !step_ops)
+      ~model:Memsim.Model.SC (source ())
+  in
   let steps = ref [] in
   let index = ref 0 in
   let rec go schedule =
@@ -29,13 +35,9 @@ let replay ~source ~(witness : Memsim.Exec.t) ~scp ~(weak : Memsim.Exec.t) =
       match schedule with
       | [] -> false
       | decision :: rest ->
-        let before = Memsim.Machine.n_recorded m in
+        step_ops := [];
         Memsim.Machine.perform m decision;
-        let e = Memsim.Machine.to_execution m in
-        let ops =
-          Array.to_list e.Memsim.Exec.ops
-          |> List.filter (fun (o : Memsim.Op.t) -> o.Memsim.Op.id >= before)
-        in
+        let ops = List.rev !step_ops in
         let in_scp =
           ops <> []
           && List.for_all

@@ -810,6 +810,67 @@ let restore ?(kind = "stream") path =
                path v ckpt_version)
         | _ -> Error (Printf.sprintf "%s: not a checkpoint file" path)))
 
+(* -- checkpointed reader ---------------------------------------------- *)
+
+(* The decoder in front of the engine.  A reader checkpoint marshals it
+   as the [extra] (salvage flag, codec, byte offset), so its shape and
+   constructor order are part of checkpoint format version 3. *)
+type codec = Strict of Codec.decoder | Salvage of Codec.Salvage.t
+
+module Reader = struct
+  type nonrec t = {
+    engine : t;
+    salvage : bool;
+    codec : codec;
+    mutable offset : int;
+  }
+
+  let create ?max_live ~salvage () =
+    {
+      engine = create ?max_live ~tolerant:salvage ();
+      salvage;
+      codec =
+        (if salvage then Salvage (Codec.Salvage.create ())
+         else Strict (Codec.decoder ()));
+      offset = 0;
+    }
+
+  let engine r = r.engine
+  let offset r = r.offset
+  let push_to r () record = push r.engine record
+
+  let feed r chunk =
+    let fed =
+      match r.codec with
+      | Strict d -> Codec.feed d chunk ~f:(push_to r) ()
+      | Salvage s -> Codec.Salvage.feed s chunk ~f:(push_to r) ()
+    in
+    if Result.is_ok fed then r.offset <- r.offset + String.length chunk;
+    fed
+
+  let save r path = checkpoint path r.engine ~extra:(r.salvage, r.codec, r.offset)
+
+  let resume ~salvage path =
+    match (restore path : (_ * (bool * codec * int), string) result) with
+    | Error _ as e -> e
+    | Ok (_, (was_salvage, _, _)) when was_salvage <> salvage ->
+      Error
+        (Printf.sprintf "%s: checkpoint was taken %s --salvage" path
+           (if was_salvage then "with" else "without"))
+    | Ok (engine, (_, codec, offset)) -> Ok { engine; salvage; codec; offset }
+
+  let close r =
+    match r.codec with
+    | Strict d ->
+      Result.bind (Codec.finish_feed d ~f:(push_to r) ()) (fun () ->
+          Result.map
+            (fun (a, st) -> (Postmortem.verdict a, st))
+            (finish r.engine))
+    | Salvage s ->
+      Result.bind (Codec.Salvage.finish_feed s ~f:(push_to r) ()) (fun () ->
+          finish_salvaged r.engine ~decode_losses:(Codec.Salvage.losses s))
+end
+
 let analyze_fold fold ?max_live () =
   let t = create ?max_live () in
   match fold ~init:() ~f:(fun () r -> push t r) with
@@ -822,18 +883,8 @@ let analyze_file ?chunk_size ?max_live path =
 let analyze_string ?chunk_size ?max_live text =
   analyze_fold (fun ~init ~f -> Codec.fold_string ?chunk_size text ~init ~f) ?max_live ()
 
-let analyze_salvage_fold fold ?max_live () =
+let analyze_salvage_string ?chunk_size ?max_live text =
   let t = create ?max_live ~tolerant:true () in
-  match fold ~init:() ~f:(fun () r -> push t r) with
+  match Codec.fold_salvage_string ?chunk_size text ~init:() ~f:(fun () r -> push t r) with
   | Error _ as e -> e
   | Ok ((), losses) -> finish_salvaged t ~decode_losses:losses
-
-let analyze_salvage_file ?chunk_size ?max_live path =
-  analyze_salvage_fold
-    (fun ~init ~f -> Codec.fold_salvage_file ?chunk_size path ~init ~f)
-    ?max_live ()
-
-let analyze_salvage_string ?chunk_size ?max_live text =
-  analyze_salvage_fold
-    (fun ~init ~f -> Codec.fold_salvage_string ?chunk_size text ~init ~f)
-    ?max_live ()

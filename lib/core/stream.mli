@@ -123,6 +123,45 @@ val restore : ?kind:string -> string -> (t * 'a, string) result
     type it saved — marshalling is untyped beyond the kind check, as
     usual. *)
 
+(** {1 Checkpointed reader}
+
+    A decoder and an engine fed from one byte stream, with the byte
+    offset they have consumed, saved and resumed as one checkpoint —
+    the loop behind [analyze --stream/--follow/--checkpoint].  The
+    caller owns the input: it reads chunks, seeks to {!Reader.offset}
+    after a resume, and decides when to {!Reader.save}. *)
+module Reader : sig
+  type stream := t
+  type t
+
+  val create : ?max_live:int -> salvage:bool -> unit -> t
+  (** A reader at byte 0: the strict decoder into a strict engine, or
+      with [salvage] the {!Tracing.Codec.Salvage} decoder into a
+      tolerant one. *)
+
+  val feed : t -> string -> (unit, string) result
+  (** Decode the next chunk and push its records; on success the offset
+      advances by the chunk's length.  After an [Error] the reader is
+      unusable. *)
+
+  val offset : t -> int
+  (** Input bytes consumed so far. *)
+
+  val engine : t -> stream
+
+  val save : t -> string -> unit
+  (** {!checkpoint} the engine with the salvage flag, decoder state and
+      offset as its [extra]. *)
+
+  val resume : salvage:bool -> string -> (t, string) result
+  (** {!restore} a {!save}d reader.  A checkpoint taken in the other
+      decoding mode is refused. *)
+
+  val close : t -> (Postmortem.verdict * stats, string) result
+  (** End of input: flush the decoder, then {!finish} (strict) or
+      {!finish_salvaged} with the decoder's losses. *)
+end
+
 val analyze_file :
   ?chunk_size:int -> ?max_live:int -> string ->
   (Postmortem.analysis * stats, string) result
@@ -132,15 +171,11 @@ val analyze_string :
   ?chunk_size:int -> ?max_live:int -> string ->
   (Postmortem.analysis * stats, string) result
 
-val analyze_salvage_file :
-  ?chunk_size:int -> ?max_live:int -> string ->
-  (Postmortem.verdict * stats, string) result
-(** {!Tracing.Codec.fold_salvage_file} → tolerant {!push} →
-    {!finish_salvaged}: never fails on damaged input short of an
-    unsalvageable header. *)
-
 val analyze_salvage_string :
   ?chunk_size:int -> ?max_live:int -> string ->
   (Postmortem.verdict * stats, string) result
+(** {!Tracing.Codec.fold_salvage_string} → tolerant {!push} →
+    {!finish_salvaged}: never fails on damaged input short of an
+    unsalvageable header. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -116,14 +116,7 @@ let fence_envelope model =
     invalid_arg "Vcampaign: fence litmus envelope did not enumerate completely";
   r.Enumerate.executions
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ())
-  end
-
 let run ?(seeds = 16) ?jobs ?witness_dir () =
-  Option.iter mkdir_p witness_dir;
   let pools = List.map (fun p -> (p.Minilang.Ast.name, sc_pool p)) programs in
   let pool_of p = List.assoc p.Minilang.Ast.name pools in
   let fence_pool = pool_of fence_litmus in

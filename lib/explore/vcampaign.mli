@@ -65,9 +65,9 @@ val run :
 (** Run the campaign: [seeds] (default 16) schedules per variant x
     program cell on the {!Engine.Parbatch} domain pool ([jobs] as
     there), plus the exact fence-contract envelope per variant.  When
-    [witness_dir] is given (created if missing), each violation's
-    witness trace is written to
-    [<dir>/<variant>-<cond34|fence>.trace].  [as_predicted] in the
+    [witness_dir] is given (an existing directory, see
+    {!Witness.ensure_dir}), each violation's witness trace is written
+    to [<dir>/<variant>-<cond34|fence>.trace].  [as_predicted] in the
     result also requires every emitted witness to have verified. *)
 
 val pp : Format.formatter -> report -> unit

@@ -76,3 +76,15 @@ let pp_verification ppf w =
   | Ok (), Some p -> Format.fprintf ppf ", verified v2 trace at %s" p
   | Ok (), None -> Format.pp_print_string ppf ", replay + round-trip verified"
   | Error e, _ -> Format.fprintf ppf ", VERIFICATION FAILED: %s" e
+
+let rec ensure_dir dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok ()
+    else Error (Printf.sprintf "%s: not a directory" dir)
+  else
+    match ensure_dir (Filename.dirname dir) with
+    | Error _ as e -> e
+    | Ok () ->
+      (try Ok (Sys.mkdir dir 0o755) with
+       | Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> Ok ()
+       | Sys_error msg -> Error msg)

@@ -66,3 +66,8 @@ val make :
 val pp_verification : Format.formatter -> t -> unit
 (** [", verified v2 trace at <path>"], [", replay + round-trip
     verified"] or [", VERIFICATION FAILED: <why>"]. *)
+
+val ensure_dir : string -> (unit, string) result
+(** [ensure_dir dir] creates [dir] and any missing parents (mkdir -p),
+    the directory every [--witness-dir] writes into.  [Error] names the
+    path that could not be created or exists but is not a directory. *)

@@ -245,8 +245,6 @@ let steps t = t.n_steps
 
 let memory t = Array.copy t.mem
 
-let n_recorded t = t.n_ops
-
 let write_memory t ~op_id ~loc ~value =
   t.mem.(loc) <- value;
   t.mem_writer.(loc) <- op_id

@@ -104,9 +104,6 @@ val steps : t -> int
 val memory : t -> Op.value array
 (** Snapshot of shared memory (buffered writes not yet included). *)
 
-val n_recorded : t -> int
-(** Operations recorded so far (issue order). *)
-
 val force_drain : t -> unit
 (** Retire every buffered write (used when a run hits its step budget, so
     the final memory state is well defined). *)

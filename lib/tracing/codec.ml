@@ -764,28 +764,6 @@ let fold_salvage_string ?(chunk_size = default_chunk) text ~init ~f =
    | Ok acc -> Ok (acc, Salvage.losses s)
    | Error _ as e -> e)
 
-let fold_salvage_file ?(chunk_size = default_chunk) path ~init ~f =
-  if chunk_size <= 0 then invalid_arg "Codec.fold_salvage_file: chunk_size";
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let s = Salvage.create () in
-    let buf = Bytes.create chunk_size in
-    let rec go acc =
-      match input ic buf 0 chunk_size with
-      | 0 -> Salvage.finish_feed s ~f acc
-      | n ->
-        (match Salvage.feed s (Bytes.sub_string buf 0 n) ~f acc with
-         | Ok acc -> go acc
-         | Error _ as e -> e)
-      | exception Sys_error msg -> Error msg
-    in
-    let r = go init in
-    close_in_noerr ic;
-    (match r with
-     | Ok acc -> Ok (acc, Salvage.losses s)
-     | Error _ as e -> e)
-
 (* -- batch decoding -------------------------------------------------- *)
 
 (* Shared accumulator for the batch entry points ([decode], [read_dir]):

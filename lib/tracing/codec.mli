@@ -209,8 +209,3 @@ val fold_salvage_string :
   ('a * Salvage.loss list, string) result
 (** {!fold_string} through a {!Salvage.t}: never fails on damaged input,
     returning the surviving records' fold and the loss intervals. *)
-
-val fold_salvage_file :
-  ?chunk_size:int -> string -> init:'a ->
-  f:('a -> record -> ('a, string) result) ->
-  ('a * Salvage.loss list, string) result
