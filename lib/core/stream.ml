@@ -885,6 +885,7 @@ let analyze_string ?chunk_size ?max_live text =
 
 let analyze_salvage_string ?chunk_size ?max_live text =
   let t = create ?max_live ~tolerant:true () in
-  match Codec.fold_salvage_string ?chunk_size text ~init:() ~f:(fun () r -> push t r) with
+  let push () r = push t r in
+  match Codec.fold_salvage_string ?chunk_size text ~init:() ~f:push with
   | Error _ as e -> e
   | Ok ((), losses) -> finish_salvaged t ~decode_losses:losses
