@@ -551,6 +551,80 @@ let test_report_racy () =
   Alcotest.(check bool) "mentions non-first suppression" true
     (Astring.String.is_infix ~affix:"non-first" s)
 
+(* The report bytes over a generated corpus, pinned by MD5: generated
+   racy and race-free programs (symbolic location names) and the stock
+   programs (labels) under every model and scheduler, plus the queue
+   bug's stale dequeue (Figure 3's non-first partitions).  Each analysis
+   is rendered the ways the CLI prints it: the hb1 report with and
+   without location names, the SHB report, the degraded wording, and
+   every partition in full as [detect --all] shows it.  The counters make
+   sure the corpus really reaches multi-location races, non-first
+   partitions and SHB extras. *)
+let report_corpus_pin = "955ce701cb4b4d11b49090f695dda350"
+
+let test_report_corpus_digest () =
+  let gen_config =
+    { Minilang.Gen.n_procs = 4; n_shared = 5; n_locks = 2; ops_per_proc = 10;
+      sync_freq = 3 }
+  in
+  let scheds ~loop_free seed =
+    [ Memsim.Sched.adversarial ~seed (); Memsim.Sched.random ~seed;
+      Memsim.Sched.eager ~seed ]
+    (* round robin never drains a spinning processor's buffer *)
+    @ if loop_free then [ Memsim.Sched.round_robin () ] else []
+  in
+  let runs ~loop_free seed p =
+    List.concat_map
+      (fun model ->
+        List.map
+          (fun sched -> (p, Minilang.Interp.run ~model ~sched p))
+          (scheds ~loop_free seed))
+      Memsim.Model.all
+  in
+  let corpus =
+    List.concat_map
+      (fun seed ->
+        List.concat_map (runs ~loop_free:true seed)
+          [
+            Minilang.Gen.random_racy ~seed ();
+            Minilang.Gen.random_racy ~config:gen_config ~seed ();
+            Minilang.Gen.random_racefree ~config:gen_config ~seed ();
+          ])
+      (List.init 4 Fun.id)
+    @ List.concat (List.mapi (fun i (_, p) -> runs ~loop_free:false i p)
+                     Minilang.Programs.all)
+    @ [ (Minilang.Programs.queue_bug ~region (), find_stale_execution ()) ]
+  in
+  let buf = Buffer.create 65536 in
+  let add_report pp a = Buffer.add_string buf (Format.asprintf "%a@." pp a) in
+  let multi_loc = ref 0 and non_first = ref 0 and shb_extra = ref 0 in
+  List.iter
+    (fun (p, e) ->
+      let loc_name = Minilang.Ast.loc_name p in
+      let a = Postmortem.analyze_execution e in
+      let shb = Postmortem.with_order `Shb a in
+      let parts = a.Postmortem.partitions in
+      if List.exists (fun (r : Race.t) -> List.length r.Race.locs > 1) a.Postmortem.races
+      then incr multi_loc;
+      non_first := !non_first + List.length (Partition.non_first_partitions parts);
+      shb_extra := !shb_extra + List.length shb.Postmortem.shb_extra;
+      Buffer.add_string buf (Report.to_string ~loc_name a);
+      add_report (Report.pp_analysis ?loc_name:None) a;
+      add_report (Report.pp_analysis ~loc_name) shb;
+      add_report (Report.pp_analysis_degraded ~loc_name) a;
+      List.iter
+        (add_report (Report.pp_partition ~loc_name ~trace:a.Postmortem.trace))
+        (Partition.partitions parts))
+    corpus;
+  Alcotest.(check bool) "multi-location races covered" true (!multi_loc > 0);
+  Alcotest.(check bool) "non-first partitions covered" true (!non_first > 0);
+  Alcotest.(check bool) "SHB extras covered" true (!shb_extra > 0);
+  let text = Buffer.contents buf in
+  Alcotest.(check bool) "labels covered" true
+    (Astring.String.is_infix ~affix:" P1:write-x)" text);
+  Alcotest.(check string) "report corpus MD5" report_corpus_pin
+    (Digest.to_hex (Digest.string text))
+
 (* ------------------------------------------------------------------ *)
 (* Epoch engine fallback transitions                                    *)
 (* ------------------------------------------------------------------ *)
@@ -664,6 +738,7 @@ let () =
         [
           Alcotest.test_case "race free" `Quick test_report_race_free;
           Alcotest.test_case "racy with names" `Quick test_report_racy;
+          Alcotest.test_case "corpus digest" `Quick test_report_corpus_digest;
         ] );
       (* the epoch engine's two demotion points: a concurrent second
          write, and a write meeting a promoted (shared) read window *)

@@ -195,6 +195,48 @@ let test_scc_self_loop () =
   let scc = Scc.compute g in
   Alcotest.(check int) "self loop is its own component" 2 scc.Scc.n_components
 
+(* Tarjan's numbering depends on successor order, so component ids are
+   pinned by MD5 over random graphs with self loops and duplicate
+   inserts, together with each node's successor list (insertion order,
+   duplicates collapsed), the edge count and the topological order.  A
+   fixed linear congruential generator keeps the graphs independent of
+   the standard library's [Random]. *)
+let scc_pin = "3ec16ba8f3617e7e28f370d549265854"
+
+let test_scc_digest () =
+  let state = ref 12345 in
+  let next bound =
+    state := (!state * 1103515245 + 12345) land 0x3fffffff;
+    (!state lsr 8) mod bound
+  in
+  let buf = Buffer.create 65536 in
+  let out fmt = Printf.bprintf buf fmt in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  for _ = 1 to 300 do
+    let n = 1 + next 40 in
+    let g = Digraph.create n in
+    for _ = 1 to next (4 * n) do
+      let u = next n in
+      (* self loops, and a second insert of an edge a third of the time *)
+      let v = if next 8 = 0 then u else next n in
+      Digraph.add_edge g u v;
+      if next 3 = 0 then Digraph.add_edge g u v
+    done;
+    let scc = Scc.compute g in
+    out "n=%d e=%d c=%d\n" n (Digraph.n_edges g) scc.Scc.n_components;
+    for u = 0 to n - 1 do
+      out "%d:%s;" u (ints (Digraph.succ g u))
+    done;
+    out "\ncomp=%s\n" (ints (Array.to_list scc.Scc.component));
+    Array.iter (fun m -> out "[%s]" (ints m)) scc.Scc.members;
+    out "\ntopo=%s\n"
+      (match Digraph.topological_order g with
+       | Some order -> ints order
+       | None -> "cyclic")
+  done;
+  Alcotest.(check string) "SCC MD5" scc_pin
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_reach_queries () =
   let g = Digraph.of_edges 6 [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 3) ] in
   let r = Reach.compute g in
@@ -374,6 +416,7 @@ let () =
           Alcotest.test_case "two cycles" `Quick test_scc_two_cycles;
           Alcotest.test_case "acyclic trivial" `Quick test_scc_acyclic_trivial;
           Alcotest.test_case "self loop" `Quick test_scc_self_loop;
+          Alcotest.test_case "component digest" `Quick test_scc_digest;
         ] );
       ( "reach",
         [

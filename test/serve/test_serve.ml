@@ -342,6 +342,45 @@ let test_checkpoint_stop_resume () =
        (Sys.file_exists (Filename.concat ckdir (id ^ ".ckpt")));
      shutdown s2)
 
+(* -- verdict report bytes, pinned by MD5 ------------------------------- *)
+
+(* [render_verdict_report] over every fixture, whole and under each kind
+   of damage: race-free, racy and degraded verdicts, the last with the
+   loss section. *)
+let verdict_report_pin = "752e636e7ca7b47acf7b8b69681505d2"
+
+let test_verdict_report_digest () =
+  let damages =
+    Tracing.Corrupt.
+      [ Garble_bytes 4; Drop_lines 3; Swap_events; Truncate_tail 200; Flip_bits 5;
+        Duplicate_lines 2 ]
+  in
+  let buf = Buffer.create 65536 in
+  let degraded = ref 0 in
+  Array.iter
+    (fun (f : Serve.Harness.fixture) ->
+      let inputs =
+        f.Serve.Harness.f_trace
+        :: List.concat_map
+             (fun d ->
+               List.map
+                 (fun seed -> Tracing.Corrupt.apply ~seed d f.Serve.Harness.f_trace)
+                 [ 1; 2 ])
+             damages
+      in
+      List.iter
+        (fun text ->
+          match Racedetect.Stream.analyze_salvage_string text with
+          | Ok (v, _) ->
+            (match v with Racedetect.Postmortem.Degraded _ -> incr degraded | _ -> ());
+            Buffer.add_string buf (Serve.Protocol.render_verdict_report v)
+          | Error e -> Buffer.add_string buf e)
+        inputs)
+    (Lazy.force fixtures);
+  Alcotest.(check bool) "degraded verdicts covered" true (!degraded > 0);
+  Alcotest.(check string) "verdict report MD5" verdict_report_pin
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -357,5 +396,7 @@ let () =
           Alcotest.test_case "shed over budget" `Quick test_shed_over_budget;
           Alcotest.test_case "checkpoint stop resume" `Quick
             test_checkpoint_stop_resume;
+          Alcotest.test_case "verdict report digest" `Quick
+            test_verdict_report_digest;
         ] );
     ]
