@@ -956,6 +956,28 @@ let perf () =
   let hbhugev = Racedetect.Hb.build thuge in
   let hbhugec = Oracle.Closure.hb1 hbhugev in
   let hbxlv = Racedetect.Hb.build txl in
+  (* the post-race stages on their own: G′ + partitions from a fixed race
+     list, and the report from a finished analysis.  The spin-lock trace
+     (4 processors x 20 Test&Set critical sections, WO, adversarial seed
+     0: 2,032 events, ~2x10^5 sync-sync races) is the race-list-heavy
+     case; rand-8x400 the data-race-heavy one. *)
+  let spinlock =
+    Minilang.Build.program ~name:"spinlock-4x20" ~locs:[ "counter"; "lock" ]
+      (List.init 4 (fun p ->
+           List.concat
+             (List.init 20 (fun _ ->
+                  Minilang.Programs.critical_increment
+                    ~who:(Printf.sprintf "P%d" (p + 1))))))
+  in
+  let tspin =
+    Tracing.Trace.of_execution (run_weak ~model:Memsim.Model.WO ~seed:0 spinlock)
+  in
+  let axl = Racedetect.Postmortem.analyze txl in
+  let aspin = Racedetect.Postmortem.analyze tspin in
+  let augment_partition (a : Racedetect.Postmortem.analysis) =
+    Racedetect.Partition.compute
+      (Racedetect.Augment.build a.Racedetect.Postmortem.hb a.Racedetect.Postmortem.races)
+  in
   (* the *-closure rows time the test oracle: hb1 = the bitset closure
      of the po/so1 graph, races = its all-pairs scan, analyze = both plus
      the closure of G′ *)
@@ -990,6 +1012,9 @@ let perf () =
     (if Racedetect.Hb.uses_clocks hb400v then "vclock" else "closure")
     (if Racedetect.Hb.uses_clocks hbhugev then "vclock" else "closure")
     (Tracing.Trace.n_events thuge) (Tracing.Trace.n_events txl);
+  Format.printf "spin-lock trace: %d events, %d races (%d data)@."
+    (Tracing.Trace.n_events tspin) (List.length aspin.Racedetect.Postmortem.races)
+    (List.length (Racedetect.Postmortem.data_races aspin));
   let tests =
     [
       Test.make ~name:"simulate/queue100" (Staged.stage (fun () -> ignore (mk_exec 100)));
@@ -1033,6 +1058,16 @@ let perf () =
       Test.make ~name:"analyze-closure/rand-8x100"
         (Staged.stage (fun () ->
              ignore (Oracle.Closure.analyze thuge)));
+      Test.make ~name:"augment+partition/rand-8x400"
+        (Staged.stage (fun () -> ignore (augment_partition axl)));
+      Test.make ~name:"report-render/rand-8x400"
+        (Staged.stage (fun () -> ignore (Racedetect.Report.to_string axl)));
+      Test.make ~name:"augment+partition/spinlock-4x20"
+        (Staged.stage (fun () -> ignore (augment_partition aspin)));
+      (* a race-free report: microseconds, so batched like the
+         queue400 races-* rows *)
+      batched_test "report-render/spinlock-4x20" (fun () ->
+          Racedetect.Report.to_string aspin);
       (* full pipeline under the SHB reporting order: hb1 analysis plus rf
          reconstruction and the staged-clock extras pass *)
       Test.make ~name:"shb/queue400"

@@ -450,7 +450,7 @@ let analyze_cmd =
       "Trace file produced by $(b,racedet trace), or a split-trace directory \
        (one file per processor plus sync.trace)."
     in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
   in
   let reconstruct_arg =
     let doc =
@@ -1244,7 +1244,7 @@ let write_witnesses dir (r : Explore.Triage.report) =
 
 let run_triage p ~max_steps ~limit ~sync ~jobs ~model ~witness_dir =
   or_fail (Minilang.Ast.validate p);
-  Option.iter (fun dir -> or_fail (Explore.Witness.ensure_dir dir)) witness_dir;
+  Option.iter (fun dir -> or_fail (Tracing.Codec.ensure_dir dir)) witness_dir;
   let r = Explore.Triage.run ~max_steps ~limit ~sync ~jobs ~model p in
   Format.printf "%a@." Explore.Triage.pp r;
   Option.iter (fun dir -> write_witnesses dir r) witness_dir;
@@ -1312,7 +1312,7 @@ let variants_cmd =
   in
   let run seeds jobs witness_dir () =
     let jobs = resolve_jobs jobs in
-    Option.iter (fun dir -> or_fail (Explore.Witness.ensure_dir dir)) witness_dir;
+    Option.iter (fun dir -> or_fail (Tracing.Codec.ensure_dir dir)) witness_dir;
     let r = Explore.Vcampaign.run ~seeds ~jobs ?witness_dir () in
     Format.printf "%a@." Explore.Vcampaign.pp r;
     Explore.Vcampaign.exit_code r
@@ -1787,7 +1787,7 @@ let robust_cmd =
     let witness_path =
       Option.map
         (fun dir ->
-          or_fail (Explore.Witness.ensure_dir dir);
+          or_fail (Tracing.Codec.ensure_dir dir);
           Filename.concat dir (p.Minilang.Ast.name ^ ".robust.trace"))
         witness_dir
     in
@@ -1994,7 +1994,7 @@ let serve_cmd =
 let client_cmd =
   let trace_arg =
     let doc = "Trace file to stream (required unless --metrics or --stop)." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
   in
   let session_arg =
     let doc = "Session id (default: the trace's basename, sanitized)." in

@@ -1,86 +1,146 @@
 let default_loc_name l = Printf.sprintf "loc%d" l
 
-let pp_event_ref ~(trace : Tracing.Trace.t) ppf eid =
-  let ev = trace.Tracing.Trace.events.(eid) in
-  match ev.Tracing.Event.body with
-  | Tracing.Event.Sync { op; _ } ->
-    Format.fprintf ppf "E%d(P%d %a%s)" eid ev.Tracing.Event.proc Memsim.Op.pp_class
-      op.Memsim.Op.cls
-      (match op.Memsim.Op.label with None -> "" | Some l -> " " ^ l)
-  | Tracing.Event.Computation { ops; _ } ->
-    let label =
-      List.find_map (fun (o : Memsim.Op.t) -> o.Memsim.Op.label) ops
-    in
-    Format.fprintf ppf "E%d(P%d comp%s)" eid ev.Tracing.Event.proc
-      (match label with None -> "" | Some l -> " " ^ l)
+(* The one renderer.  It appends to a [Buffer] the lines the report is
+   made of, each indented by hand as the vertical boxes of the former
+   [Format] printer laid them out, with no trailing newline.  An event's
+   [E<id>(P<p> <class>[ <label>])] text and a location's name are built
+   at most once per report: a race-heavy trace names a few thousand
+   events in hundreds of thousands of races. *)
+type ctx = {
+  buf : Buffer.t;
+  trace : Tracing.Trace.t;
+  refs : string array;  (* "" until the event is first named *)
+  loc_name : int -> string;
+  locs : string array;  (* [loc_name] of every location the trace declares *)
+}
 
-let pp_race ~loc_name ~trace ppf (r : Race.t) =
-  Format.fprintf ppf "%a <-> %a on %a"
-    (pp_event_ref ~trace) r.Race.a (pp_event_ref ~trace) r.Race.b
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf l -> Format.pp_print_string ppf (loc_name l)))
+let ctx ?(loc_name = default_loc_name) buf (trace : Tracing.Trace.t) =
+  {
+    buf;
+    trace;
+    refs = Array.make (Tracing.Trace.n_events trace) "";
+    loc_name;
+    locs = Array.init trace.Tracing.Trace.n_locs loc_name;
+  }
+
+let event_ref c eid =
+  match c.refs.(eid) with
+  | "" ->
+    let ev = c.trace.Tracing.Trace.events.(eid) in
+    let what, label =
+      match ev.Tracing.Event.body with
+      | Tracing.Event.Sync { op; _ } ->
+        (Memsim.Op.class_name op.Memsim.Op.cls, op.Memsim.Op.label)
+      | Tracing.Event.Computation { ops; _ } ->
+        ("comp", List.find_map (fun (o : Memsim.Op.t) -> o.Memsim.Op.label) ops)
+    in
+    let s =
+      Printf.sprintf "E%d(P%d %s%s)" eid ev.Tracing.Event.proc what
+        (match label with None -> "" | Some l -> " " ^ l)
+    in
+    c.refs.(eid) <- s;
+    s
+  | s -> s
+
+let loc c l = if l >= 0 && l < Array.length c.locs then c.locs.(l) else c.loc_name l
+
+let add c s = Buffer.add_string c.buf s
+let addf c fmt = Printf.bprintf c.buf fmt
+
+let race c (r : Race.t) =
+  add c (event_ref c r.Race.a);
+  add c " <-> ";
+  add c (event_ref c r.Race.b);
+  add c " on ";
+  List.iteri
+    (fun i l ->
+      if i > 0 then add c ", ";
+      add c (loc c l))
     r.Race.locs
 
-let pp_partition ?(loc_name = default_loc_name) ~trace ppf (p : Partition.partition) =
-  Format.fprintf ppf "@[<v 2>partition #%d (%d events, %d data races)" p.Partition.component
+let partition c (p : Partition.partition) =
+  addf c "partition #%d (%d events, %d data races)" p.Partition.component
     (List.length p.Partition.events)
     (List.length p.Partition.races);
-  List.iter (fun r -> Format.fprintf ppf "@,%a" (pp_race ~loc_name ~trace) r) p.Partition.races;
-  Format.fprintf ppf "@]"
+  List.iter
+    (fun r ->
+      add c "\n  ";
+      race c r)
+    p.Partition.races
 
-let pp_analysis_gen ?(loc_name = default_loc_name) ~degraded ppf
-    (a : Postmortem.analysis) =
+let render ?loc_name ?(degraded = false) buf (a : Postmortem.analysis) =
   let first = Postmortem.first_partitions a in
   let non_first = Partition.non_first_partitions a.Postmortem.partitions in
-  let trace = a.Postmortem.trace in
   if first = [] then
-    if degraded then
-      Format.fprintf ppf
-        "@[<v>No data races detected among the surviving events.@]"
-    else
-      Format.fprintf ppf
-        "@[<v>No data races detected.@,\
-         By Condition 3.4(1) the execution was sequentially consistent.@]"
+    Buffer.add_string buf
+      (if degraded then "No data races detected among the surviving events."
+       else
+         "No data races detected.\n\
+          By Condition 3.4(1) the execution was sequentially consistent.")
   else begin
-    Format.fprintf ppf
-      "@[<v>%d data race(s) in %d first partition(s) — each contains at least@,\
-       one race that also occurs in a sequentially consistent execution:@,"
+    let c = ctx ?loc_name buf a.Postmortem.trace in
+    addf c
+      "%d data race(s) in %d first partition(s) — each contains at least\n\
+       one race that also occurs in a sequentially consistent execution:\n"
       (List.length (Postmortem.reported_races a))
       (List.length first);
-    List.iter (fun p -> Format.fprintf ppf "@,%a" (pp_partition ~loc_name ~trace) p) first;
+    List.iter
+      (fun p ->
+        add c "\n";
+        partition c p)
+      first;
     if non_first <> [] then begin
-      Format.fprintf ppf
-        "@,@,%d non-first partition(s) suppressed (their races may not occur@,\
+      addf c
+        "\n\n%d non-first partition(s) suppressed (their races may not occur\n\
          under sequential consistency):"
         (List.length non_first);
       List.iter
         (fun (p : Partition.partition) ->
-          Format.fprintf ppf "@,  partition #%d: %d data race(s)" p.Partition.component
+          addf c "\n  partition #%d: %d data race(s)" p.Partition.component
             (List.length p.Partition.races))
         non_first
     end;
-    (match a.Postmortem.order with
-     | `Hb1 -> ()
-     | `Shb ->
-       let extra = a.Postmortem.shb_extra in
-       Format.fprintf ppf
-         "@,@,SHB (hb1 + reads-from) predicts %d additional race(s) among the@,\
-          suppressed partitions%s"
-         (List.length extra)
-         (if extra = [] then "." else ":");
-       List.iter
-         (fun r -> Format.fprintf ppf "@,  %a" (pp_race ~loc_name ~trace) r)
-         extra);
-    Format.fprintf ppf "@]"
+    match a.Postmortem.order with
+    | `Hb1 -> ()
+    | `Shb ->
+      let extra = a.Postmortem.shb_extra in
+      addf c
+        "\n\nSHB (hb1 + reads-from) predicts %d additional race(s) among the\n\
+         suppressed partitions%s"
+        (List.length extra)
+        (if extra = [] then "." else ":");
+      List.iter
+        (fun r ->
+          add c "\n  ";
+          race c r)
+        extra
   end
 
-let pp_analysis ?loc_name ppf a = pp_analysis_gen ?loc_name ~degraded:false ppf a
+(* Print rendered lines as one vertical box, so a report placed at any
+   column of a formatter is laid out as the nested boxes used to. *)
+let pp_lines ppf s =
+  Format.pp_open_vbox ppf 0;
+  List.iteri
+    (fun i line ->
+      if i > 0 then Format.pp_print_cut ppf ();
+      Format.pp_print_string ppf line)
+    (String.split_on_char '\n' s);
+  Format.pp_close_box ppf ()
+
+let rendered f =
+  let buf = Buffer.create 256 in
+  f buf;
+  Buffer.contents buf
+
+let to_string ?loc_name a = rendered (fun buf -> render ?loc_name buf a)
+
+let pp_analysis ?loc_name ppf a = pp_lines ppf (to_string ?loc_name a)
 
 let pp_analysis_degraded ?loc_name ppf a =
-  pp_analysis_gen ?loc_name ~degraded:true ppf a
+  pp_lines ppf (rendered (fun buf -> render ?loc_name ~degraded:true buf a))
 
-let to_string ?loc_name a = Format.asprintf "%a" (pp_analysis ?loc_name) a
+let pp_partition ?loc_name ~trace ppf p =
+  pp_lines ppf (rendered (fun buf -> partition (ctx ?loc_name buf trace) p))
 
 let to_dot ?(loc_name = default_loc_name) (a : Postmortem.analysis) =
   let buf = Buffer.create 2048 in
@@ -96,7 +156,7 @@ let to_dot ?(loc_name = default_loc_name) (a : Postmortem.analysis) =
     match ev.Tracing.Event.body with
     | Tracing.Event.Sync { op; _ } ->
       Printf.sprintf "%s %s %s"
-        (Format.asprintf "%a" Memsim.Op.pp_class op.Memsim.Op.cls)
+        (Memsim.Op.class_name op.Memsim.Op.cls)
         (Format.asprintf "%a" Memsim.Op.pp_kind op.Memsim.Op.kind)
         (loc_name op.Memsim.Op.loc)
     | Tracing.Event.Computation { reads; writes; _ } ->

@@ -3,8 +3,16 @@
     the non-first partitions (suppressed as potentially
     non-sequentially-consistent artifacts). *)
 
+val render :
+  ?loc_name:(int -> string) -> ?degraded:bool -> Buffer.t -> Postmortem.analysis -> unit
+(** The report renderer: appends the report's lines to the buffer,
+    without a trailing newline.  Every function below is a wrapper over
+    it.  [loc_name] names a location (default [loc<n>]); [degraded]
+    selects {!pp_analysis_degraded}'s wording. *)
+
 val pp_analysis :
   ?loc_name:(int -> string) -> Format.formatter -> Postmortem.analysis -> unit
+(** {!render} as one vertical box. *)
 
 val pp_analysis_degraded :
   ?loc_name:(int -> string) -> Format.formatter -> Postmortem.analysis -> unit

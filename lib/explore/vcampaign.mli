@@ -66,7 +66,7 @@ val run :
     program cell on the {!Engine.Parbatch} domain pool ([jobs] as
     there), plus the exact fence-contract envelope per variant.  When
     [witness_dir] is given (an existing directory, see
-    {!Witness.ensure_dir}), each violation's witness trace is written
+    {!Tracing.Codec.ensure_dir}), each violation's witness trace is written
     to [<dir>/<variant>-<cond34|fence>.trace].  [as_predicted] in the
     result also requires every emitted witness to have verified. *)
 

@@ -4,66 +4,68 @@ type t = {
   members : int list array;
 }
 
-(* Iterative Tarjan.  Each stack frame is (node, remaining successors).
-   Tarjan emits components in reverse topological order, so we flip the ids
-   at the end to obtain the documented "edges go small -> large" invariant. *)
+(* Iterative Tarjan.  Each DFS frame is (node, index of its next
+   successor), kept in two arrays beside Tarjan's node stack; all three
+   are at most [n] deep.  Tarjan emits components in reverse topological
+   order, so we flip the ids at the end to obtain the documented "edges
+   go small -> large" invariant. *)
 let compute g =
   let n = Digraph.n_nodes g in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
   let comp = Array.make n (-1) in
-  let stack = ref [] in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let frame_node = Array.make n 0 and frame_next = Array.make n 0 in
+  let fp = ref 0 in
   let next_index = ref 0 in
   let next_comp = ref 0 in
-  let visit root =
-    let frames = ref [ (root, Digraph.succ g root) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
+  let enter v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !frames <> [] do
-      match !frames with
-      | [] -> ()
-      | (u, succs) :: rest -> (
-        match succs with
-        | v :: more ->
-          frames := (u, more) :: rest;
-          if index.(v) = -1 then begin
-            index.(v) <- !next_index;
-            lowlink.(v) <- !next_index;
-            incr next_index;
-            stack := v :: !stack;
-            on_stack.(v) <- true;
-            frames := (v, Digraph.succ g v) :: !frames
-          end
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    frame_node.(!fp) <- v;
+    frame_next.(!fp) <- 0;
+    incr fp
+  in
+  for root = 0 to n - 1 do
+    if index.(root) = -1 then begin
+      enter root;
+      while !fp > 0 do
+        let top = !fp - 1 in
+        let u = frame_node.(top) in
+        let i = frame_next.(top) in
+        if i < Digraph.out_degree g u then begin
+          frame_next.(top) <- i + 1;
+          let v = Digraph.nth_succ g u i in
+          if index.(v) = -1 then enter v
           else if on_stack.(v) && index.(v) < lowlink.(u) then
             lowlink.(u) <- index.(v)
-        | [] ->
-          frames := rest;
-          (match rest with
-           | (parent, _) :: _ when lowlink.(u) < lowlink.(parent) ->
-             lowlink.(parent) <- lowlink.(u)
-           | _ -> ());
+        end
+        else begin
+          fp := top;
+          if top > 0 then begin
+            let parent = frame_node.(top - 1) in
+            if lowlink.(u) < lowlink.(parent) then lowlink.(parent) <- lowlink.(u)
+          end;
           if lowlink.(u) = index.(u) then begin
             let c = !next_comp in
             incr next_comp;
             let continue = ref true in
             while !continue do
-              match !stack with
-              | [] -> continue := false
-              | w :: tail ->
-                stack := tail;
-                on_stack.(w) <- false;
-                comp.(w) <- c;
-                if w = u then continue := false
+              decr sp;
+              let w = stack.(!sp) in
+              on_stack.(w) <- false;
+              comp.(w) <- c;
+              if w = u then continue := false
             done
-          end)
-    done
-  in
-  for u = 0 to n - 1 do
-    if index.(u) = -1 then visit u
+          end
+        end
+      done
+    end
   done;
   let n_components = !next_comp in
   (* Reverse ids so the condensation is topologically numbered. *)

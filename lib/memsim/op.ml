@@ -28,11 +28,13 @@ let pp_kind ppf = function
   | Read -> Format.pp_print_string ppf "read"
   | Write -> Format.pp_print_string ppf "write"
 
-let pp_class ppf = function
-  | Data -> Format.pp_print_string ppf "data"
-  | Acquire -> Format.pp_print_string ppf "acquire"
-  | Release -> Format.pp_print_string ppf "release"
-  | Plain_sync -> Format.pp_print_string ppf "sync"
+let class_name = function
+  | Data -> "data"
+  | Acquire -> "acquire"
+  | Release -> "release"
+  | Plain_sync -> "sync"
+
+let pp_class ppf c = Format.pp_print_string ppf (class_name c)
 
 let pp ppf o =
   Format.fprintf ppf "P%d#%d:%a[%a](%d,%d)%s" o.proc o.pindex pp_kind o.kind

@@ -50,5 +50,8 @@ val identity : t -> proc * int * loc * kind * op_class
     these keys coincide. *)
 
 val pp_kind : Format.formatter -> kind -> unit
+val class_name : op_class -> string
+(** ["data"], ["acquire"], ["release"] or ["sync"]. *)
+
 val pp_class : Format.formatter -> op_class -> unit
 val pp : Format.formatter -> t -> unit

@@ -63,6 +63,10 @@ val guarded_handoff : Ast.program
 val unguarded_handoff : Ast.program
 (** Same, but P1 reads unconditionally — the minimal racy program. *)
 
+val critical_increment : who:string -> Ast.instr list
+(** One Test&Set/Unset critical section on ["lock"] that increments
+    ["counter"]; labels are prefixed with [who]. *)
+
 val counter_locked : Ast.program
 (** Two processors increment a shared counter inside Test&Set/Unset
     critical sections.  Data-race-free; the final counter is always 2. *)

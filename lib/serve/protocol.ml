@@ -110,21 +110,17 @@ let exit_code = function
 (* Must stay byte-identical to what bin/racedet's [print_verdict]
    writes to stdout — the serve cram test [cmp]s the two. *)
 let render_verdict_report v =
-  let a = Racedetect.Postmortem.verdict_analysis v in
-  let pp =
-    match v with
-    | Racedetect.Postmortem.Degraded _ ->
-      Racedetect.Report.pp_analysis_degraded ?loc_name:None
-    | _ -> Racedetect.Report.pp_analysis ?loc_name:None
-  in
   let buf = Buffer.create 1024 in
-  let f = Format.formatter_of_buffer buf in
-  Format.fprintf f "%a@." pp a;
+  let degraded =
+    match v with Racedetect.Postmortem.Degraded _ -> true | _ -> false
+  in
+  Racedetect.Report.render ~degraded buf (Racedetect.Postmortem.verdict_analysis v);
+  Buffer.add_char buf '\n';
   (match v with
    | Racedetect.Postmortem.Degraded { loss; _ } ->
-     Format.fprintf f "@.@[<v>%a@]@." Racedetect.Postmortem.pp_loss loss
+     Format.fprintf (Format.formatter_of_buffer buf) "@.@[<v>%a@]@."
+       Racedetect.Postmortem.pp_loss loss
    | _ -> ());
-  Format.pp_print_flush f ();
   Buffer.contents buf
 
 let outcome_report = function

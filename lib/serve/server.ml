@@ -685,12 +685,6 @@ let shard_loop sh index listen_fd =
 
 (* -- startup --------------------------------------------------------- *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let bind_listener cfg =
   match cfg.addr with
   | Unix_sock path ->
@@ -782,10 +776,9 @@ let run ?stop cfg =
       match cfg.checkpoint_dir with
       | None -> Ok ()
       | Some dir ->
-        (match mkdir_p dir with
-         | () -> if cfg.resume then scan_checkpoints sh dir else Ok ()
-         | exception Unix.Unix_error (e, _, _) ->
-           Error (Printf.sprintf "%s: %s" dir (Unix.error_message e)))
+        (match Tracing.Codec.ensure_dir dir with
+         | Ok () -> if cfg.resume then scan_checkpoints sh dir else Ok ()
+         | Error _ as e -> e)
     in
     match setup with
     | Error _ as e -> e

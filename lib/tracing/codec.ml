@@ -901,6 +901,18 @@ let write_dir dir (t : Trace.t) =
   in
   write (sync_file dir) (fun l -> l <> "" && not (is_any_event l))
 
+let rec ensure_dir dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok ()
+    else Error (Printf.sprintf "%s: not a directory" dir)
+  else
+    match ensure_dir (Filename.dirname dir) with
+    | Error _ as e -> e
+    | Ok () ->
+      (try Ok (Sys.mkdir dir 0o755) with
+       | Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> Ok ()
+       | Sys_error msg -> Error msg)
+
 let read_dir dir =
   let d = decoder () in
   let b = builder () in

@@ -57,6 +57,12 @@ val write_dir : string -> Trace.t -> unit
     and release/acquire pairing.  Creates [dir] if needed.  Always v1:
     the v2 epoch stream has no meaningful order across split files. *)
 
+val ensure_dir : string -> (unit, string) Result.t
+(** [ensure_dir dir] creates [dir] and any missing parents (mkdir -p):
+    the directory that [--witness-dir] traces and serve's
+    [--checkpoint-dir] checkpoints are written into.  [Error] names the
+    path that could not be created or exists but is not a directory. *)
+
 val read_dir : string -> (Trace.t, string) Result.t
 (** Merge a {!write_dir} directory back into a trace; the result is
     {!equivalent} to the original.  Decode errors are prefixed with the
