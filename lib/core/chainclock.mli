@@ -11,8 +11,9 @@
     the SCC condensation so that it stays exact when the graph is
     cyclic (hb1 of a weak execution, §3.1, and G′ always).
 
-    Cost: O((n + m)·P) time and O(c·P) space for [n] nodes, [m] edges,
-    [P] rows and [c] components; O(1) per query. *)
+    Cost: one Tarjan pass plus O((n + m)·P) time and O(c·P) space for
+    [n] nodes, [m] edges, [P] rows and [c] components; O(1) per
+    query. *)
 
 type t
 
@@ -22,17 +23,25 @@ val build : Graphlib.Digraph.t -> int array array -> t
     belongs to at most one row; a node in no row must have no outgoing
     edge (a stand-in for a lost event) and reaches only itself.
 
-    Components are processed in a topological order: single nodes along
-    [Digraph.topological_order] when [g] is acyclic, otherwise the
-    topologically numbered components of {!Graphlib.Scc.compute}. *)
+    Components are processed in the topological numbering of
+    {!Graphlib.Scc.compute}. *)
 
 val reaches : t -> int -> int -> bool
 (** [reaches t a b]: a (possibly empty) path leads from [a] to [b]. *)
 
-val basis : t -> (Vclock.t array * int array) option
-(** When [g] is acyclic, [Some (clocks, order)]: [order] is
-    [Digraph.topological_order g] and [clocks.(u)] is node [u]'s clock,
-    whose component [r] is the largest 1-based position of a row-[r]
-    node that reaches [u] — on a graph whose rows hold every node, the
-    classic per-event vector clock.  [None] when [g] has a cycle.  Both
-    arrays are owned by the index: read-only. *)
+val clocks : t -> Vclock.t array
+(** [clocks.(u)] is the clock of [u]'s component: its component [r] is
+    the largest 1-based position of a row-[r] node that reaches [u].
+    Members of one component share one physical clock.  On an acyclic
+    graph whose rows hold every node this is the classic per-event
+    vector clock.  Owned by the index: read-only. *)
+
+val order : t -> int array
+(** Every node once, components in topological id order and each
+    component's members together, in increasing node order: an edge
+    never leads from a node to an earlier one, except inside a
+    component.  Owned by the index: read-only. *)
+
+val acyclic : t -> bool
+(** [g] has no cycle (no edge inside one component, self loops
+    included). *)

@@ -30,13 +30,14 @@ let build ?(so1 = `Recorded) (trace : Tracing.Trace.t) =
 let trace t = t.trace
 let graph t = t.graph
 
-(* the basis's order is the processing order of the epoch-compressed
-   race engine, which must see events in an hb1-consistent sequence
-   (eids are assigned per-processor block by the tracer and are NOT
-   topological) *)
-let epoch_basis t = Chainclock.basis t.index
+(* the clock index's order is the processing order of the epoch race
+   engine, which must see events in an hb1-consistent sequence of
+   components (eids are assigned per-processor block by the tracer and
+   are NOT topological) *)
+let clocks t = Chainclock.clocks t.index
+let order t = Chainclock.order t.index
 
-let uses_clocks t = epoch_basis t <> None
+let uses_clocks t = Chainclock.acyclic t.index
 
 let happens_before t a b = a <> b && Chainclock.reaches t.index a b
 

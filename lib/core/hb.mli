@@ -27,14 +27,19 @@ val graph : t -> Graphlib.Digraph.t
 (** One node per event ([eid]); po and so1 edges. *)
 
 val uses_clocks : t -> bool
-(** Whether hb1 is acyclic, i.e. {!epoch_basis} is [Some]. *)
+(** Whether hb1 is acyclic: every strongly connected component is one
+    event. *)
 
-val epoch_basis : t -> (Vclock.t array * int array) option
-(** The per-event vector clocks and the topological order
-    ([Digraph.topological_order]) they were computed in — the inputs of
-    the epoch-compressed race engine ({!Race.find_all}) and of the SHB
-    index ({!Shb.build}).  [None] when hb1 is cyclic.  Both arrays are
-    owned by the index: treat them as read-only. *)
+val clocks : t -> Vclock.t array
+(** Per event, its hb1 component's vector clock ({!Chainclock.clocks}):
+    one clock per event on an acyclic hb1, one shared by every member of
+    a cycle otherwise.  The input of the epoch race engine
+    ({!Race.find_all}).  Owned by the index: read-only. *)
+
+val order : t -> int array
+(** Every event, hb1's strongly connected components in topological
+    order ({!Chainclock.order}) — the epoch engine's processing order.
+    Owned by the index: read-only. *)
 
 val happens_before : t -> int -> int -> bool
 (** [happens_before t a b]: a path of po/so1 edges leads from event [a]

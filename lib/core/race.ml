@@ -6,77 +6,12 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Reference engine: quadratic per-location pair scan over the full
-   hb1 index.  Kept verbatim as the differential
-   baseline for the epoch engine — the property tests and the
-   races-vclock bench rows run it — and as the fallback when hb1 is
-   cyclic and no clock basis exists.                                   *)
-(* ------------------------------------------------------------------ *)
-
-let find_all_vector hb =
-  let trace = Hb.trace hb in
-  let events = trace.Tracing.Trace.events in
-  let n_locs = trace.Tracing.Trace.n_locs in
-  (* per-location occurrence index, so candidate generation is
-     proportional to actual sharing rather than |events|² *)
-  let writers = Array.make n_locs [] in
-  let touchers = Array.make n_locs [] in
-  Array.iter
-    (fun (ev : Tracing.Event.t) ->
-      let eid = ev.Tracing.Event.eid in
-      Graphlib.Bitset.iter
-        (fun l -> writers.(l) <- eid :: writers.(l); touchers.(l) <- eid :: touchers.(l))
-        (Tracing.Event.writes ev ~n_locs);
-      Graphlib.Bitset.iter
-        (fun l -> touchers.(l) <- eid :: touchers.(l))
-        (Tracing.Event.reads ev ~n_locs))
-    events;
-  (* a location's occurrence lists collect one entry per bitset the event
-     touches it through, so an event reading and writing the same location
-     appears twice in [touchers]; dedupe before the quadratic pair loop *)
-  let n = Array.length events in
-  for l = 0 to n_locs - 1 do
-    writers.(l) <- List.sort_uniq compare writers.(l);
-    touchers.(l) <- List.sort_uniq compare touchers.(l)
-  done;
-  let seen = Hashtbl.create 64 in
-  let races = ref [] in
-  Array.iteri
-    (fun _l ws ->
-      List.iter
-        (fun w ->
-          List.iter
-            (fun o ->
-              let a = min w o and b = max w o in
-              let key = (a * n) + b in
-              if a <> b && not (Hashtbl.mem seen key) then begin
-                Hashtbl.add seen key ();
-                let ea = events.(a) and eb = events.(b) in
-                if
-                  ea.Tracing.Event.proc <> eb.Tracing.Event.proc
-                  && Tracing.Event.conflict ea eb
-                  && not (Hb.ordered hb a b)
-                then
-                  races :=
-                    {
-                      a;
-                      b;
-                      locs = Tracing.Event.conflict_locs ea eb ~n_locs;
-                      is_data =
-                        Tracing.Event.involves_data ea || Tracing.Event.involves_data eb;
-                    }
-                    :: !races
-              end)
-            touchers.(_l))
-        ws)
-    writers;
-  List.sort (fun r1 r2 -> compare (r1.a, r1.b) (r2.a, r2.b)) !races
-
-(* ------------------------------------------------------------------ *)
 (* Epoch-compressed engine (FastTrack adapted to events).
 
-   Events are processed in hb1's topological order.  Per location the
-   engine keeps:
+   Events are processed in [Hb.order]: hb1's strongly connected
+   components in topological order, every member carrying its
+   component's clock (DESIGN.md §7 argues why those clocks are exact
+   here).  Per location the engine keeps:
 
    - [wr_ep]: the epoch of the last write.  While the location is
      "clean", all prior writes form an hb1 chain ending at that event,
@@ -94,13 +29,13 @@ let find_all_vector hb =
    prior accesses at all.  The first failed check proves a race exists
    on the location but not with whom, so the location turns
    sticky-[dirty]: from then on events scan its exact per-location
-   access tables (pre-sized int arrays) with full vector-clock
-   comparisons, reproducing the reference engine's answers precisely.
-   The final report is byte-identical to [find_all_vector]'s.          *)
+   access tables (pre-sized int arrays) with one clock comparison per
+   entry, so the race list is exactly the per-location pair scan's.    *)
 (* ------------------------------------------------------------------ *)
 
-let find_all_epoch hb clocks order =
+let find_all hb =
   let trace = Hb.trace hb in
+  let clocks = Hb.clocks hb and order = Hb.order hb in
   let events = trace.Tracing.Trace.events in
   let n = Array.length events in
   let n_locs = trace.Tracing.Trace.n_locs in
@@ -288,11 +223,6 @@ let find_all_epoch hb clocks order =
         if c <> 0 then c else compare r1.b r2.b)
       !races
   end
-
-let find_all hb =
-  match Hb.epoch_basis hb with
-  | Some (clocks, order) -> find_all_epoch hb clocks order
-  | None -> find_all_vector hb
 
 let data_races = List.filter (fun r -> r.is_data)
 

@@ -19,16 +19,10 @@ val find_all : Hb.t -> t list
     and sorted by [(a, b)].  Events of the same processor never race
     (program order totally orders them).
 
-    Runs the epoch-compressed engine (FastTrack-style, O(1) common-case
-    checks via {!Epoch}) whenever the hb1 index exposes a clock basis
-    ({!Hb.epoch_basis}); falls back to {!find_all_vector} on cyclic
-    hb1.  Both engines return identical race lists. *)
-
-val find_all_vector : Hb.t -> t list
-(** The reference engine: per-location quadratic pair scan with a full
-    ordering query per candidate pair.  The differential baseline the
-    property tests compare {!find_all} against, and the [races-vclock]
-    benchmark rows. *)
+    One engine on every hb1, cyclic or not: the epoch-compressed scan
+    (FastTrack-style, O(1) common-case checks via {!Epoch}) over
+    {!Hb.order}, with every event carrying its hb1 component's clock
+    ({!Hb.clocks}). *)
 
 val data_races : t list -> t list
 

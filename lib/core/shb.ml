@@ -55,14 +55,18 @@ let staged_clocks (trace : Tracing.Trace.t) g rf_succ order =
     order;
   (pre, full, pos)
 
+(* The rf linearization is Kahn's order ([Digraph.topological_order]),
+   not the clock index's: the last writer a read observes, and so the
+   predictions, depend on which hb1-consistent order is walked. *)
 let build hb =
   let trace = Hb.trace hb in
-  match Hb.epoch_basis hb with
+  match Graphlib.Digraph.topological_order (Hb.graph hb) with
   | None ->
     (* cyclic hb1: no linearization, no rf; shb is hb1 itself, so every
        suppressed race counts as predicted *)
     { hb; staged = None }
-  | Some (_, order) ->
+  | Some order ->
+    let order = Array.of_list order in
     let rf = reconstruct_rf trace order in
     let rf_succ = Array.make (Array.length trace.Tracing.Trace.events) [] in
     List.iter (fun (w, r) -> rf_succ.(w) <- r :: rf_succ.(w)) rf;

@@ -14,9 +14,10 @@
 
     Event-level traces store read/write footprints but not values, so
     the reads-from relation is reconstructed conservatively from a
-    canonical hb1-consistent linearization: walking events in the clock
-    index's topological order, each read observes the latest preceding
-    write to its location.  Reconstructed rf edges always point forward
+    canonical hb1-consistent linearization: walking events in Kahn's
+    topological order of the hb1 graph
+    ({!Graphlib.Digraph.topological_order}), each read observes the
+    latest preceding write to its location.  Reconstructed rf edges always point forward
     in that order, so the shb graph is acyclic whenever hb1 is and the
     same topological order indexes both.
 
@@ -30,7 +31,7 @@ type t
 
 val build : Hb.t -> t
 (** Reconstruct rf and index shb over [hb]'s trace: two more clock
-    arrays, O(n·P).  On cyclic hb1 (no clock basis) no rf edge is
+    arrays, O(n·P).  On cyclic hb1 (no topological order) no rf edge is
     reconstructable and shb degenerates to hb1 itself, answered by
     {!Hb.ordered} — {!extra_races} then predicts every suppressed race,
     the conservative direction. *)
