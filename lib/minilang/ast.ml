@@ -71,7 +71,11 @@ let loc_name p l =
   | None -> string_of_int l
 
 (* Validation walks every instruction carrying its path so errors can say
-   where the offence sits, not just that one exists. *)
+   where the offence sits, not just that one exists.  The path is carried
+   innermost step first, so descending one level is a cons; it is
+   reversed only to print an error. *)
+
+let where rpath = path_to_string (List.rev rpath)
 
 let rec check_expr ~proc ~path = function
   | Int _ | Reg _ -> Ok ()
@@ -80,12 +84,10 @@ let rec check_expr ~proc ~path = function
     match (op, b) with
     | Div, Int 0 ->
       Error
-        (Printf.sprintf "P%d at %s: division by constant zero" proc
-           (path_to_string path))
+        (Printf.sprintf "P%d at %s: division by constant zero" proc (where path))
     | Mod, Int 0 ->
       Error
-        (Printf.sprintf "P%d at %s: modulo by constant zero" proc
-           (path_to_string path))
+        (Printf.sprintf "P%d at %s: modulo by constant zero" proc (where path))
     | _ -> (
       match check_expr ~proc ~path a with
       | Error _ as e -> e
@@ -96,7 +98,7 @@ let check_addr ~n_locs ~proc ~path = function
     Error
       (Printf.sprintf
          "P%d at %s: constant address %d outside the location space [0, %d)"
-         proc (path_to_string path) a n_locs)
+         proc (where path) a n_locs)
   | _ -> Ok () (* computed addresses are checked at run time *)
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
@@ -107,7 +109,7 @@ let rec check_block ~n_locs ~proc ~prefix instrs =
       let acc =
         match acc with
         | Error _ -> acc
-        | Ok () -> check_instr ~n_locs ~proc ~path:(prefix @ [ Nth i ]) instr
+        | Ok () -> check_instr ~n_locs ~proc ~path:(Nth i :: prefix) instr
       in
       (i + 1, acc))
     (0, Ok ()) instrs
@@ -136,11 +138,11 @@ and check_instr ~n_locs ~proc ~path instr =
     addr a
   | If (c, t, f) ->
     let* () = expr c in
-    let* () = check_block ~n_locs ~proc ~prefix:(path @ [ Then ]) t in
-    check_block ~n_locs ~proc ~prefix:(path @ [ Else ]) f
+    let* () = check_block ~n_locs ~proc ~prefix:(Then :: path) t in
+    check_block ~n_locs ~proc ~prefix:(Else :: path) f
   | While (c, body) ->
     let* () = expr c in
-    check_block ~n_locs ~proc ~prefix:(path @ [ Body ]) body
+    check_block ~n_locs ~proc ~prefix:(Body :: path) body
 
 let validate p =
   if Array.length p.procs = 0 then Error "program has no processors"

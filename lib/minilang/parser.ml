@@ -2,7 +2,8 @@ exception Error of string
 
 type state = {
   mutable toks : Lexer.located list;
-  mutable locs : (string * int) list;  (* name -> address *)
+  locs : (string, int) Hashtbl.t;     (* name -> address *)
+  mutable symbols : (string * int) list; (* declarations, newest first *)
   mutable proc_name : string;          (* for generated labels *)
 }
 
@@ -47,8 +48,8 @@ let expect_int st =
     | other -> fail t "expected a number, found %s" (Lexer.describe other))
   | other -> fail t "expected a number, found %s" (Lexer.describe other)
 
-let is_loc st name = List.mem_assoc name st.locs
-let loc_addr st name = List.assoc name st.locs
+let is_loc st name = Hashtbl.mem st.locs name
+let loc_addr st name = Hashtbl.find st.locs name
 
 (* -- expressions (registers and constants only) ---------------------- *)
 
@@ -258,7 +259,8 @@ let parse_program st =
     advance st;
     let lname, ltok = expect_ident st in
     if is_loc st lname then fail ltok "location %S declared twice" lname;
-    st.locs <- st.locs @ [ (lname, !next_addr) ];
+    Hashtbl.replace st.locs lname !next_addr;
+    st.symbols <- (lname, !next_addr) :: st.symbols;
     if (peek st).Lexer.token = Lexer.EQUALS then begin
       advance st;
       init := (!next_addr, expect_int st) :: !init
@@ -288,7 +290,7 @@ let parse_program st =
       n_locs = !next_addr;
       init = List.rev !init;
       procs = Array.of_list (List.rev !procs);
-      symbols = st.locs;
+      symbols = List.rev st.symbols;
     }
   in
   match Ast.validate p with
@@ -299,7 +301,7 @@ let parse_exn src =
   let toks =
     try Lexer.tokenize src with Lexer.Error msg -> raise (Error msg)
   in
-  parse_program { toks; locs = []; proc_name = "P0" }
+  parse_program { toks; locs = Hashtbl.create 16; symbols = []; proc_name = "P0" }
 
 let parse src = try Ok (parse_exn src) with Error msg -> Result.Error msg
 
