@@ -4,14 +4,20 @@ type t = {
   graph : Graphlib.Digraph.t;
 }
 
+(* A race edge never repeats an hb1 edge (its endpoints are hb1-unordered)
+   nor another race's edge (races are deduplicated), so [extend] may skip
+   [add_edge]'s duplicate scan; successor order, and so every component
+   id, is what inserting the edges one by one gave. *)
 let build hb races =
-  let g = Graphlib.Digraph.copy (Hb.graph hb) in
-  List.iter
-    (fun (r : Race.t) ->
-      Graphlib.Digraph.add_edge g r.Race.a r.Race.b;
-      Graphlib.Digraph.add_edge g r.Race.b r.Race.a)
-    races;
-  { hb; races; graph = g }
+  let graph =
+    Graphlib.Digraph.extend (Hb.graph hb) (fun add ->
+        List.iter
+          (fun (r : Race.t) ->
+            add r.Race.a r.Race.b;
+            add r.Race.b r.Race.a)
+          races)
+  in
+  { hb; races; graph }
 
 let hb t = t.hb
 let races t = t.races

@@ -12,7 +12,13 @@ type t
 val build : Hb.t -> Race.t list -> t
 (** [build hb races] — pass {e all} races ({!Race.find_all}); Definition
     3.3's transitivity clause ranges over every race, not only data
-    races.  Copies the hb1 graph and adds two edges per race. *)
+    races.  Builds G′ in one pass ({!Graphlib.Digraph.extend}): each
+    node's successor array is allocated once, holding its hb1 successors
+    and then its race neighbours in race-list order.  The races must be
+    distinct and hb1-unordered, as {!Race.find_all}'s are, so no race
+    edge repeats another edge; pairs that break this become parallel
+    edges, which change {!Graphlib.Digraph.n_edges} but no reachability
+    or component. O(events + hb1 edges + races). *)
 
 val hb : t -> Hb.t
 val races : t -> Race.t list

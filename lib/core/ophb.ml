@@ -57,17 +57,22 @@ let is_data_race t (a, b) =
 
 let data_races t = List.filter (is_data_race t) (races t)
 
-(* G′ keeps hb1's po rows, so the same construction indexes it *)
+(* G′ keeps hb1's po rows, so the same construction indexes it.  The
+   races are distinct, unordered pairs, so their edges are new to the
+   graph and go in without a duplicate scan. *)
 let augmented t =
   match t.aug_cache with
   | Some r -> r
   | None ->
-    let g = Graphlib.Digraph.copy t.graph in
-    List.iter
-      (fun (a, b) ->
-        Graphlib.Digraph.add_edge g a b;
-        Graphlib.Digraph.add_edge g b a)
-      (races t);
+    let races = races t in
+    let g =
+      Graphlib.Digraph.extend t.graph (fun add ->
+          List.iter
+            (fun (a, b) ->
+              add a b;
+              add b a)
+            races)
+    in
     let r = Chainclock.build g t.rows in
     t.aug_cache <- Some r;
     r

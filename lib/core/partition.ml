@@ -17,31 +17,30 @@ let compute aug =
   let data = Race.data_races (Augment.races aug) in
   (* a race's endpoints share a component (its doubly-directed edge closes
      a cycle), so the component of [a] identifies the partition *)
-  let by_comp = Hashtbl.create 16 in
+  let n = scc.Graphlib.Scc.n_components in
+  let by_comp = Array.make n [] in
   List.iter
     (fun (r : Race.t) ->
       let c = comp.(r.Race.a) in
-      Hashtbl.replace by_comp c (r :: (Option.value ~default:[] (Hashtbl.find_opt by_comp c))))
+      by_comp.(c) <- r :: by_comp.(c))
     data;
-  let parts =
-    Hashtbl.fold
-      (fun c races acc ->
-        {
-          component = c;
-          races = List.rev races;
-          events = scc.Graphlib.Scc.members.(c);
-        }
-        :: acc)
-      by_comp []
-    |> List.sort (fun p1 p2 -> compare p1.component p2.component)
-  in
+  (* a downward sweep conses the parts in increasing component order *)
+  let parts = ref [] in
+  for c = n - 1 downto 0 do
+    match by_comp.(c) with
+    | [] -> ()
+    | races ->
+      parts :=
+        { component = c; races = List.rev races; events = scc.Graphlib.Scc.members.(c) }
+        :: !parts
+  done;
+  let parts = !parts in
   (* Definition 4.1 in one forward pass: [below.(c)] holds once a G′
      path from another component holding a data race leads into [c].
      Component ids are topological, so [c] is final before it is read. *)
-  let n = scc.Graphlib.Scc.n_components in
   let below = Array.make n false in
   for c = 0 to n - 1 do
-    if below.(c) || Hashtbl.mem by_comp c then
+    if below.(c) || not (List.is_empty by_comp.(c)) then
       List.iter
         (fun u ->
           Graphlib.Digraph.iter_succ g u (fun v ->

@@ -5,6 +5,43 @@ type t = {
   is_data : bool;
 }
 
+let make (e1 : Tracing.Event.t) (e2 : Tracing.Event.t) =
+  let ea, eb = if e1.Tracing.Event.eid <= e2.Tracing.Event.eid then (e1, e2) else (e2, e1) in
+  {
+    a = ea.Tracing.Event.eid;
+    b = eb.Tracing.Event.eid;
+    locs = Tracing.Event.conflict_locs ea eb;
+    is_data = Tracing.Event.involves_data ea || Tracing.Event.involves_data eb;
+  }
+
+(* LSD counting sort over race indices: a stable pass by [b], then a
+   stable pass by [a], leaves [(a, b)] order.  The passes touch only int
+   arrays (one count table of n + 1 slots, two index arrays). *)
+let sort ~n races =
+  match races with
+  | [] | [ _ ] -> races
+  | _ ->
+    let rs = Array.of_list races in
+    let m = Array.length rs in
+    let count = Array.make (n + 1) 0 in
+    let pass key src dst =
+      Array.fill count 0 (n + 1) 0;
+      Array.iter (fun i -> let k = key rs.(i) + 1 in count.(k) <- count.(k) + 1) src;
+      for k = 1 to n do
+        count.(k) <- count.(k) + count.(k - 1)
+      done;
+      Array.iter
+        (fun i ->
+          let k = key rs.(i) in
+          dst.(count.(k)) <- i;
+          count.(k) <- count.(k) + 1)
+        src
+    in
+    let by_b = Array.make m 0 and by_ab = Array.init m Fun.id in
+    pass (fun r -> r.b) by_ab by_b;
+    pass (fun r -> r.a) by_b by_ab;
+    List.init m (fun i -> rs.(by_ab.(i)))
+
 (* ------------------------------------------------------------------ *)
 (* Epoch-compressed engine (FastTrack adapted to events).
 
@@ -104,18 +141,7 @@ let find_all hb =
       Array.map (fun (ev : Tracing.Event.t) -> ev.Tracing.Event.proc) events
     in
     let races = ref [] in
-    let record u o =
-      let a = min u o and b = max u o in
-      let ea = events.(a) and eb = events.(b) in
-      races :=
-        {
-          a;
-          b;
-          locs = Tracing.Event.conflict_locs ea eb ~n_locs;
-          is_data = Tracing.Event.involves_data ea || Tracing.Event.involves_data eb;
-        }
-        :: !races
-    in
+    let record u o = races := make events.(u) events.(o) :: !races in
     let scan u c p buf lo hi =
       for i = lo to hi - 1 do
         let o = buf.(i) in
@@ -217,11 +243,7 @@ let find_all hb =
           (fun l -> if not (Graphlib.Bitset.mem w l) then update_read u c p l)
           r
     done;
-    List.sort
-      (fun r1 r2 ->
-        let c = compare r1.a r2.a in
-        if c <> 0 then c else compare r1.b r2.b)
-      !races
+    sort ~n !races
   end
 
 let data_races = List.filter (fun r -> r.is_data)

@@ -14,6 +14,17 @@ type t = {
   is_data : bool;
 }
 
+val make : Tracing.Event.t -> Tracing.Event.t -> t
+(** [make e1 e2] is the race between two conflicting events, in either
+    order: endpoints by eid, the conflicting locations
+    ({!Tracing.Event.conflict_locs}) and whether a computation event takes
+    part.  It does not check that the events race. *)
+
+val sort : n:int -> t list -> t list
+(** [sort ~n races] orders races by [(a, b)], stably, in O(n + races)
+    time: a counting sort over int arrays.  Every endpoint must lie in
+    [0 .. n-1].  Equal to [List.sort] on [(a, b)]. *)
+
 val find_all : Hb.t -> t list
 (** Every race of the execution, data and sync–sync alike, deduplicated
     and sorted by [(a, b)].  Events of the same processor never race

@@ -244,7 +244,7 @@ let enforce_max_live t =
 let pin t (ev : Event.t) =
   if not (Hashtbl.mem t.pinned ev.Event.eid) then Hashtbl.add t.pinned ev.Event.eid ev
 
-let process t (s : Codec.sizes) (ev : Event.t) =
+let process t (ev : Event.t) =
   let eid = ev.Event.eid and p = ev.Event.proc in
   (* the event's hb1 clock: join of its po predecessor (the frontier)
      and its incoming releases, plus its own tick.  A release whose
@@ -261,27 +261,14 @@ let process t (s : Codec.sizes) (ev : Event.t) =
   Vclock.tick_into c p;
   t.frontier.(p) <- c;
   let epoch = Epoch.of_clock c p in
-  (* race scan against the live candidates sharing a location *)
-  let n_locs = s.n_locs in
+  (* race scan against the live candidates sharing a location: a
+     candidate reached through [loc_touchers] of a location [ev] writes,
+     or through [loc_writers] of one it reads, conflicts with [ev] *)
   let check cand =
     if cand.stamp <> eid then begin
       cand.stamp <- eid;
-      if
-        cand.ev.Event.proc <> p
-        && Event.conflict cand.ev ev
-        && not (Epoch.leq cand.epoch c)
-      then begin
-        let o_eid = cand.ev.Event.eid in
-        let a = min o_eid eid and b = max o_eid eid in
-        let ea, eb = if a = o_eid then (cand.ev, ev) else (ev, cand.ev) in
-        t.races <-
-          {
-            Race.a;
-            b;
-            locs = Event.conflict_locs ea eb ~n_locs;
-            is_data = Event.involves_data ea || Event.involves_data eb;
-          }
-          :: t.races;
+      if cand.ev.Event.proc <> p && not (Epoch.leq cand.epoch c) then begin
+        t.races <- Race.make cand.ev ev :: t.races;
         pin t cand.ev;
         pin t ev
       end
@@ -321,7 +308,7 @@ let drain t =
           | Some ev when ready t ev ->
             ignore (Queue.pop q);
             t.pending_count <- t.pending_count - 1;
-            process t s ev;
+            process t ev;
             progress := true
           | _ -> go := false
         done
@@ -506,13 +493,7 @@ let skeleton_trace t s ~so1 ~sync_order =
    them. *)
 let skeleton_analysis t trace =
   let hb = Hb.build ~so1:`Recorded trace in
-  let races =
-    List.sort
-      (fun (r1 : Race.t) (r2 : Race.t) ->
-        let c = Int.compare r1.Race.a r2.Race.a in
-        if c <> 0 then c else Int.compare r1.Race.b r2.Race.b)
-      t.races
-  in
+  let races = Race.sort ~n:(Array.length trace.Trace.events) t.races in
   let augmented = Augment.build hb races in
   let partitions = Partition.compute augmented in
   { Postmortem.trace; hb; races; augmented; partitions; order = `Hb1; shb_extra = [] }

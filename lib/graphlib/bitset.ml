@@ -77,6 +77,27 @@ let intersects a b =
   in
   loop 0
 
+(* One byte pass, high bytes first, so the list is consed in ascending
+   order with no intermediate set and no reversal. *)
+let conflict_elements ~wa ~ra ~wb ~rb =
+  check_same_capacity "conflict_elements" wa ra;
+  check_same_capacity "conflict_elements" wa wb;
+  check_same_capacity "conflict_elements" wa rb;
+  let acc = ref [] in
+  for byte = Bytes.length wa.bits - 1 downto 0 do
+    let w1 = Char.code (Bytes.get wa.bits byte) in
+    let w2 = Char.code (Bytes.get wb.bits byte) in
+    let b =
+      (w1 land (w2 lor Char.code (Bytes.get rb.bits byte)))
+      lor (Char.code (Bytes.get ra.bits byte) land w2)
+    in
+    if b <> 0 then
+      for k = 7 downto 0 do
+        if b land (1 lsl k) <> 0 then acc := ((byte lsl 3) + k) :: !acc
+      done
+  done;
+  !acc
+
 let subset a b =
   check_same_capacity "subset" a b;
   let len = Bytes.length a.bits in

@@ -45,6 +45,13 @@ val intersects : t -> t -> bool
 (** [intersects a b] is [not (is_empty (inter a b))] without allocating.
     @raise Invalid_argument on capacity mismatch. *)
 
+val conflict_elements : wa:t -> ra:t -> wb:t -> rb:t -> int list
+(** [conflict_elements ~wa ~ra ~wb ~rb] lists, in increasing order, the
+    members of [(wa ∩ (wb ∪ rb)) ∪ (ra ∩ wb)]: the locations where two
+    accessors with write sets [wa], [wb] and read sets [ra], [rb]
+    conflict.  One pass over the bytes; allocates only the list.
+    @raise Invalid_argument unless all four capacities are equal. *)
+
 val subset : t -> t -> bool
 (** [subset a b] tests [a ⊆ b]. @raise Invalid_argument on capacity
     mismatch. *)

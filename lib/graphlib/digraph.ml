@@ -98,13 +98,32 @@ let transpose g =
   iter_edges g (fun u v -> append t v u);
   t
 
-let copy g =
-  {
-    n = g.n;
-    adj = Array.mapi (fun u a -> Array.sub a 0 g.deg.(u)) g.adj;
-    deg = Array.copy g.deg;
-    edges = g.edges;
-  }
+(* Two passes over [iter]: the first counts each node's new edges, so
+   every successor array is allocated once at its final size; the second
+   appends them behind the blitted old successors.  [fill] is first the
+   count and then the append cursor. *)
+let extend g iter =
+  let fill = Array.make g.n 0 in
+  iter (fun u v ->
+      check_node g u;
+      check_node g v;
+      fill.(u) <- fill.(u) + 1);
+  let added = ref 0 in
+  let adj =
+    Array.init g.n (fun u ->
+        let d = g.deg.(u) in
+        let a = Array.make (d + fill.(u)) 0 in
+        Array.blit g.adj.(u) 0 a 0 d;
+        added := !added + fill.(u);
+        fill.(u) <- d;
+        a)
+  in
+  iter (fun u v ->
+      adj.(u).(fill.(u)) <- v;
+      fill.(u) <- fill.(u) + 1);
+  { n = g.n; adj; deg = fill; edges = g.edges + !added }
+
+let copy g = extend g ignore
 
 (* Iterative DFS: the happens-before graph of a long execution can have one
    po-chain per processor that is tens of thousands of edges deep, which

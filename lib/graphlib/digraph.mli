@@ -17,7 +17,9 @@
     of [u]) with no hashing or allocation beyond an amortized array
     doubling; the graphs built here (hb1, op-level hb1, G′, delay sets)
     have small out-degrees except at race-heavy events of G′.  {!copy}
-    is one array copy per node. *)
+    is one array copy per node, and {!extend} one array allocation per
+    node plus O(1) per added edge, with no scan: it is how G′ gets its
+    race edges, which are new by construction. *)
 
 type t
 
@@ -58,6 +60,17 @@ val transpose : t -> t
 (** Graph with every edge reversed. *)
 
 val copy : t -> t
+
+val extend : t -> ((int -> int -> unit) -> unit) -> t
+(** [extend g iter] is a fresh graph holding [g]'s edges and then every
+    edge [u -> v] that [iter add] passes to [add], appended to [u]'s
+    successors in the order given.  Unlike {!add_edge} it does not look
+    for duplicates: the caller knows that the edges are new, distinct
+    from [g]'s and from each other (an edge given twice is kept twice and
+    counted twice by {!n_edges}).  [iter] is called twice, once to size
+    the successor arrays and once to fill them, and must pass the same
+    edges both times.  O(nodes + edges); [g] is unchanged.
+    @raise Invalid_argument on out-of-range endpoints. *)
 
 val of_edges : int -> (int * int) list -> t
 

@@ -6,14 +6,15 @@ type t = {
 
 (* Iterative Tarjan.  Each DFS frame is (node, index of its next
    successor), kept in two arrays beside Tarjan's node stack; all three
-   are at most [n] deep.  Tarjan emits components in reverse topological
-   order, so we flip the ids at the end to obtain the documented "edges
-   go small -> large" invariant. *)
+   are at most [n] deep.  A node stays on Tarjan's stack from its entry
+   until its component is assigned, so for an indexed node [comp = -1]
+   is the on-stack test and no flag array is kept.  Tarjan emits
+   components in reverse topological order, so we flip the ids at the
+   end to obtain the documented "edges go small -> large" invariant. *)
 let compute g =
   let n = Digraph.n_nodes g in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
   let comp = Array.make n (-1) in
   let stack = Array.make n 0 and sp = ref 0 in
   let frame_node = Array.make n 0 and frame_next = Array.make n 0 in
@@ -26,7 +27,6 @@ let compute g =
     incr next_index;
     stack.(!sp) <- v;
     incr sp;
-    on_stack.(v) <- true;
     frame_node.(!fp) <- v;
     frame_next.(!fp) <- 0;
     incr fp
@@ -42,7 +42,7 @@ let compute g =
           frame_next.(top) <- i + 1;
           let v = Digraph.nth_succ g u i in
           if index.(v) = -1 then enter v
-          else if on_stack.(v) && index.(v) < lowlink.(u) then
+          else if comp.(v) < 0 && index.(v) < lowlink.(u) then
             lowlink.(u) <- index.(v)
         end
         else begin
@@ -58,7 +58,6 @@ let compute g =
             while !continue do
               decr sp;
               let w = stack.(!sp) in
-              on_stack.(w) <- false;
               comp.(w) <- c;
               if w = u then continue := false
             done

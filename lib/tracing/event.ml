@@ -33,29 +33,36 @@ let touches e loc =
     Graphlib.Bitset.mem reads loc || Graphlib.Bitset.mem writes loc
   | Sync { op; _ } -> op.Memsim.Op.loc = loc
 
+(* a computation's access sets against a sync op's one location *)
+let sync_conflicts ~reads ~writes (op : Memsim.Op.t) =
+  let l = op.Memsim.Op.loc in
+  if op.Memsim.Op.kind = Memsim.Op.Write then
+    Graphlib.Bitset.mem reads l || Graphlib.Bitset.mem writes l
+  else Graphlib.Bitset.mem writes l
+
 let conflict a b =
   match (a.body, b.body) with
   | Computation ca, Computation cb ->
     Graphlib.Bitset.intersects ca.writes cb.writes
     || Graphlib.Bitset.intersects ca.writes cb.reads
     || Graphlib.Bitset.intersects ca.reads cb.writes
-  | Computation c, Sync { op; _ } | Sync { op; _ }, Computation c ->
-    let l = op.Memsim.Op.loc in
-    if op.Memsim.Op.kind = Memsim.Op.Write then
-      Graphlib.Bitset.mem c.reads l || Graphlib.Bitset.mem c.writes l
-    else Graphlib.Bitset.mem c.writes l
+  | Computation { reads; writes; _ }, Sync { op; _ }
+  | Sync { op; _ }, Computation { reads; writes; _ } ->
+    sync_conflicts ~reads ~writes op
   | Sync { op = oa; _ }, Sync { op = ob; _ } -> Memsim.Op.conflict oa ob
 
-let conflict_locs a b ~n_locs =
+(* No views or intermediate sets: a sync endpoint is tested against its
+   one location directly, two computations in one byte pass. *)
+let conflict_locs a b =
   match (a.body, b.body) with
   | Sync { op = oa; _ }, Sync { op = ob; _ } ->
-    (* one location each: no bitset views needed *)
     if Memsim.Op.conflict oa ob then [ oa.Memsim.Op.loc ] else []
-  | _ ->
-    let wa = writes a ~n_locs and ra = reads a ~n_locs in
-    let wb = writes b ~n_locs and rb = reads b ~n_locs in
-    let open Graphlib.Bitset in
-    elements (union (inter wa wb) (union (inter wa rb) (inter ra wb)))
+  | Computation { reads; writes; _ }, Sync { op; _ }
+  | Sync { op; _ }, Computation { reads; writes; _ } ->
+    if sync_conflicts ~reads ~writes op then [ op.Memsim.Op.loc ] else []
+  | Computation ca, Computation cb ->
+    Graphlib.Bitset.conflict_elements ~wa:ca.writes ~ra:ca.reads ~wb:cb.writes
+      ~rb:cb.reads
 
 let involves_data = is_computation
 

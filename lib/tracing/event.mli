@@ -44,8 +44,9 @@ val touches : t -> Memsim.Op.loc -> bool
 val conflict : t -> t -> bool
 (** Some location is accessed by both and written by at least one. *)
 
-val conflict_locs : t -> t -> n_locs:int -> Memsim.Op.loc list
-(** The locations witnessing a conflict. *)
+val conflict_locs : t -> t -> Memsim.Op.loc list
+(** The locations witnessing a conflict, ascending; empty when the two
+    events do not conflict.  Allocates only the list. *)
 
 val involves_data : t -> bool
 (** True for computation events: a race with such an endpoint is a

@@ -740,6 +740,29 @@ let test_epoch_cyclic_dirty_boundary () =
       "so1 6 0"; "so1 2 4"; "end 8"; "";
     ]
 
+(* Race.sort, the counting sort both race finders end with, against
+   List.sort on (a, b): random pair lists over n events, deduplicated as
+   races are, one time in eight empty *)
+let prop_race_sort_matches_list_sort =
+  QCheck.Test.make ~name:"Race.sort = List.sort on (a, b)" ~count:300
+    (QCheck.make
+       ~print:(fun (n, pairs) ->
+         Printf.sprintf "n=%d [%s]" n
+           (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) pairs)))
+       QCheck.Gen.(
+         let* n = int_range 1 40 in
+         let* pairs =
+           frequency
+             [ (1, return []);
+               (7, list_size (int_bound 80) (pair (int_bound (n - 1)) (int_bound (n - 1)))) ]
+         in
+         let pairs = List.map (fun (x, y) -> (min x y, max x y)) pairs in
+         return (n, List.fold_left (fun acc p -> if List.mem p acc then acc else p :: acc) [] pairs)))
+    (fun (n, pairs) ->
+      let races = List.map (fun (a, b) -> { Race.a; b; locs = [ a + b ]; is_data = a < b }) pairs in
+      Race.sort ~n races
+      = List.sort (fun (r1 : Race.t) r2 -> compare (r1.a, r1.b) (r2.a, r2.b)) races)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -820,4 +843,5 @@ let () =
           Alcotest.test_case "dirty across a cycle boundary" `Quick
             test_epoch_cyclic_dirty_boundary;
         ] );
+      ("race-sort", qsuite [ prop_race_sort_matches_list_sort ]);
     ]

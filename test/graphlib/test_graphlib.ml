@@ -120,6 +120,29 @@ let prop_iteration_matches_mem =
       && List.rev (Bitset.fold (fun i acc -> i :: acc) s []) = expected
       && Bitset.elements s = expected)
 
+(* [conflict_elements] against the same formula built from [inter] and
+   [union], over four random sets of one capacity *)
+let prop_conflict_elements =
+  QCheck.Test.make ~name:"bitset conflict_elements matches inter/union" ~count:300
+    (QCheck.make
+       ~print:(fun (n, sets) ->
+         Printf.sprintf "n=%d %s" n
+           (String.concat " "
+              (List.map
+                 (fun xs -> "[" ^ String.concat ";" (List.map string_of_int xs) ^ "]")
+                 sets)))
+       QCheck.Gen.(
+         let* n = int_range 0 70 in
+         let* sets = list_repeat 4 (list_size (int_bound 12) (int_bound (max 0 (n - 1)))) in
+         return (n, if n = 0 then [ []; []; []; [] ] else sets)))
+    (fun (n, sets) ->
+      match List.map (Bitset.of_list n) sets with
+      | [ wa; ra; wb; rb ] ->
+        let open Bitset in
+        conflict_elements ~wa ~ra ~wb ~rb
+        = elements (union (inter wa (union wb rb)) (inter ra wb))
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Digraph                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -281,6 +304,17 @@ let test_condensation_node_count () =
     (Reach.scc r).Scc.n_components
     (Digraph.n_nodes (Reach.condensation r))
 
+let test_digraph_extend () =
+  let g = Digraph.of_edges 3 [ (0, 1) ] in
+  let e = Digraph.extend g (fun add -> add 1 0; add 0 2; add 1 0) in
+  Alcotest.(check (list int)) "old successors first" [ 1; 2 ] (Digraph.succ e 0);
+  Alcotest.(check (list int)) "an edge given twice is kept twice" [ 0; 0 ]
+    (Digraph.succ e 1);
+  Alcotest.(check int) "edges counted" 4 (Digraph.n_edges e);
+  Alcotest.(check int) "original untouched" 1 (Digraph.n_edges g);
+  Alcotest.check_raises "out of range" (Invalid_argument "Digraph: node out of range")
+    (fun () -> ignore (Digraph.extend g (fun add -> add 0 3)))
+
 (* qcheck: Reach agrees with direct DFS on random graphs. *)
 
 let arb_graph =
@@ -358,6 +392,30 @@ let prop_reach_matches_dfs =
              let path = Digraph.has_path cg u v in
              Reach.reaches cr u v = path && Racedetect.Chainclock.reaches c u v = path))
 
+(* [extend] with edges that repeat nothing builds the graph that [copy]
+   plus [add_edge] builds: same successors in the same order, same edge
+   count, same Tarjan component ids. *)
+let prop_extend_matches_add_edge =
+  QCheck.Test.make ~name:"extend with new edges = copy + add_edge" ~count:300
+    (QCheck.pair arb_graph (QCheck.list (QCheck.pair QCheck.small_nat QCheck.small_nat)))
+    (fun ((n, edges), extra) ->
+      let g = Digraph.of_edges n edges in
+      let extra =
+        List.fold_left
+          (fun acc (u, v) ->
+            let e = (u mod n, v mod n) in
+            if Digraph.mem_edge g (fst e) (snd e) || List.mem e acc then acc else e :: acc)
+          [] extra
+        |> List.rev
+      in
+      let added = Digraph.copy g in
+      List.iter (fun (u, v) -> Digraph.add_edge added u v) extra;
+      let extended = Digraph.extend g (fun add -> List.iter (fun (u, v) -> add u v) extra) in
+      List.for_all (fun u -> Digraph.succ added u = Digraph.succ extended u) (List.init n Fun.id)
+      && Digraph.n_edges added = Digraph.n_edges extended
+      && (Scc.compute added).Scc.component = (Scc.compute extended).Scc.component
+      && Digraph.n_edges g = List.length (List.sort_uniq compare edges))
+
 let prop_scc_mutual_reachability =
   QCheck.Test.make ~name:"SCC iff mutually reachable" ~count:100 arb_graph
     (fun (n, edges) ->
@@ -395,7 +453,7 @@ let () =
         ] );
       ("bitset-props", qsuite
           [ prop_union_commutes; prop_inter_subset; prop_elements_roundtrip;
-            prop_iteration_matches_mem ]);
+            prop_iteration_matches_mem; prop_conflict_elements ]);
       ( "digraph",
         [
           Alcotest.test_case "edges" `Quick test_digraph_edges;
@@ -410,6 +468,7 @@ let () =
           Alcotest.test_case "fold edges" `Quick test_digraph_fold_edges;
           Alcotest.test_case "pretty printing" `Quick test_pp_smoke;
           Alcotest.test_case "condensation node count" `Quick test_condensation_node_count;
+          Alcotest.test_case "extend" `Quick test_digraph_extend;
         ] );
       ( "scc",
         [
@@ -424,5 +483,7 @@ let () =
           Alcotest.test_case "empty graph" `Quick test_reach_empty_graph;
         ] );
       ( "graph-props",
-        qsuite [ prop_reach_matches_dfs; prop_scc_mutual_reachability; prop_condensation_acyclic ] );
+        qsuite
+          [ prop_reach_matches_dfs; prop_scc_mutual_reachability; prop_condensation_acyclic;
+            prop_extend_matches_add_edge ] );
     ]

@@ -11,7 +11,6 @@ let ordered t a b = happens_before t a b || happens_before t b a
 let races t =
   let trace = Hb.trace t.hb in
   let events = trace.Tracing.Trace.events in
-  let n_locs = trace.Tracing.Trace.n_locs in
   let acc = ref [] in
   for a = Array.length events - 1 downto 0 do
     for b = Array.length events - 1 downto a + 1 do
@@ -21,14 +20,7 @@ let races t =
         && Tracing.Event.conflict ea eb
         && not (ordered t a b)
       then
-        acc :=
-          {
-            Race.a;
-            b;
-            locs = Tracing.Event.conflict_locs ea eb ~n_locs;
-            is_data = Tracing.Event.involves_data ea || Tracing.Event.involves_data eb;
-          }
-          :: !acc
+        acc := Race.make ea eb :: !acc
     done
   done;
   !acc

@@ -48,15 +48,7 @@ let races hb =
                   && Tracing.Event.conflict ea eb
                   && not (Hb.ordered hb a b)
                 then
-                  races :=
-                    {
-                      Race.a;
-                      b;
-                      locs = Tracing.Event.conflict_locs ea eb ~n_locs;
-                      is_data =
-                        Tracing.Event.involves_data ea || Tracing.Event.involves_data eb;
-                    }
-                    :: !races
+                  races := Race.make ea eb :: !races
               end)
             touchers.(_l))
         ws)

@@ -60,8 +60,63 @@ let test_conflict_predicates () =
   let p1c = t.Trace.by_proc.(0).(0) and p2c = t.Trace.by_proc.(1).(0) in
   Alcotest.(check bool) "writer vs reader conflict" true (Event.conflict p1c p2c);
   Alcotest.(check (list int)) "conflict locations" [ 0; 1 ]
-    (Event.conflict_locs p1c p2c ~n_locs:t.Trace.n_locs);
+    (Event.conflict_locs p1c p2c);
   Alcotest.(check bool) "computation involves data" true (Event.involves_data p1c)
+
+(* [conflict_locs] against the definition through fresh sets: the
+   n_locs-wide read and write views of each event, intersected and
+   united.  Events are random computations (read and write sets over up
+   to 20 locations) and random sync reads and writes, in every pairing. *)
+let reference_conflict_locs ~n_locs a b =
+  let open Graphlib.Bitset in
+  let wa = Event.writes a ~n_locs and ra = Event.reads a ~n_locs in
+  let wb = Event.writes b ~n_locs and rb = Event.reads b ~n_locs in
+  elements (union (inter wa wb) (union (inter wa rb) (inter ra wb)))
+
+let gen_event ~n_locs eid =
+  QCheck.Gen.(
+    let locs = list_size (int_bound 6) (int_bound (n_locs - 1)) in
+    let* sync = bool in
+    if sync then
+      let* loc = int_bound (n_locs - 1) in
+      let* write = bool in
+      let op =
+        {
+          Memsim.Op.id = eid; proc = eid; pindex = 0; loc;
+          kind = (if write then Memsim.Op.Write else Memsim.Op.Read);
+          cls = (if write then Memsim.Op.Release else Memsim.Op.Acquire);
+          value = 0; label = None;
+        }
+      in
+      return { Event.eid; proc = eid; seq = 0; body = Event.Sync { op; slot = 0 } }
+    else
+      let* rs = locs and* ws = locs in
+      return
+        {
+          Event.eid; proc = eid; seq = 0;
+          body =
+            Event.Computation
+              {
+                reads = Graphlib.Bitset.of_list n_locs rs;
+                writes = Graphlib.Bitset.of_list n_locs ws;
+                ops = [];
+              };
+        })
+
+let prop_conflict_locs_matches_reference =
+  QCheck.Test.make ~name:"conflict_locs matches inter/union reference" ~count:500
+    (QCheck.make
+       ~print:(fun (n_locs, a, b) ->
+         Format.asprintf "locs %d: %a / %a" n_locs Event.pp a Event.pp b)
+       QCheck.Gen.(
+         let* n_locs = int_range 1 20 in
+         let* a = gen_event ~n_locs 0 and* b = gen_event ~n_locs 1 in
+         return (n_locs, a, b)))
+    (fun (n_locs, a, b) ->
+      let expected = reference_conflict_locs ~n_locs a b in
+      Event.conflict_locs a b = expected
+      && Event.conflict_locs b a = expected
+      && Event.conflict a b = (expected <> []))
 
 let test_sync_order_slots () =
   let t = trace_of ~model:Memsim.Model.SC Minilang.Programs.counter_locked in
@@ -504,6 +559,7 @@ let () =
           Alcotest.test_case "file io" `Quick test_codec_file_io;
         ] );
       ("codec-props", qsuite [ prop_codec_roundtrip_random ]);
+      ("conflict-props", qsuite [ prop_conflict_locs_matches_reference ]);
       ( "split-files",
         [
           Alcotest.test_case "roundtrip" `Quick test_split_dir_roundtrip;
