@@ -1333,38 +1333,30 @@ let perf () =
   (match hwm with
    | Some kb -> Format.printf "@.process peak RSS (VmHWM): %d kB@." kb
    | None -> ());
-  (* checkpoint overhead: the same streaming drive, persisting the whole
-     engine (Marshal + CRC + atomic rename) every N events vs never *)
+  (* checkpoint overhead: the reader behind analyze --stream, saving
+     the checkpoint analyze --checkpoint writes (engine, decoder and
+     offset: Marshal + CRC + atomic rename) every N events vs never *)
   let ckpt_text = token_ring_stream ~procs:8 ~rounds:2000 in
   let ckpt_drive every =
-    let engine = Racedetect.Stream.create () in
-    let d = Tracing.Codec.decoder () in
+    let module R = Racedetect.Stream.Reader in
+    let ok = function Ok v -> v | Error msg -> failwith ("checkpoint bench: " ^ msg) in
+    let r = R.create ~salvage:false () in
+    let seen () = Racedetect.Stream.seen_events (R.engine r) in
     let file = Filename.temp_file "weakrace-bench" ".ckpt" in
-    let push () r = Racedetect.Stream.push engine r in
     let last = ref 0 in
     let len = String.length ckpt_text in
     let chunk = 65536 in
-    let pos = ref 0 in
-    while !pos < len do
-      let n = min chunk (len - !pos) in
-      (match Tracing.Codec.feed d (String.sub ckpt_text !pos n) ~f:push () with
-       | Ok () -> ()
-       | Error msg -> failwith ("checkpoint bench: " ^ msg));
-      pos := !pos + n;
+    while R.offset r < len do
+      ok (R.feed r (String.sub ckpt_text (R.offset r) (min chunk (len - R.offset r))));
       match every with
-      | Some k when Racedetect.Stream.seen_events engine - !last >= k ->
-        Racedetect.Stream.checkpoint file engine ~extra:!pos;
-        last := Racedetect.Stream.seen_events engine
+      | Some k when seen () - !last >= k ->
+        R.save r file;
+        last := seen ()
       | _ -> ()
     done;
-    (match Tracing.Codec.finish_feed d ~f:push () with
-     | Ok () -> ()
-     | Error msg -> failwith ("checkpoint bench: " ^ msg));
-    (match Racedetect.Stream.finish engine with
-     | Ok _ -> ()
-     | Error msg -> failwith ("checkpoint bench: " ^ msg));
+    ignore (ok (R.close r));
     (try Sys.remove file with Sys_error _ -> ());
-    Racedetect.Stream.seen_events engine
+    seen ()
   in
   let ckpt_events = ckpt_drive None (* warm *) in
   let ckpt_per_ev s = s *. 1e9 /. float_of_int (max 1 ckpt_events) in

@@ -418,9 +418,7 @@ let stream_drive ?max_live ~salvage ~follow ~idle ~ckpt ~ckpt_every file =
         let rec loop idle_for =
           match input ic buf 0 (Bytes.length buf) with
           | 0 ->
-            if follow && idle_for < idle
-               && not (Racedetect.Stream.saw_end (R.engine reader))
-            then begin
+            if follow && idle_for < idle && not (R.complete reader) then begin
               Unix.sleepf 0.05;
               loop (idle_for +. 0.05)
             end
@@ -2024,18 +2022,7 @@ let client_cmd =
     Arg.(value & flag & info [ "stop" ] ~doc)
   in
   let sanitize_id s =
-    let s =
-      String.map
-        (fun c ->
-          if
-            (c >= 'a' && c <= 'z')
-            || (c >= 'A' && c <= 'Z')
-            || (c >= '0' && c <= '9')
-            || c = '.' || c = '_' || c = '-'
-          then c
-          else '-')
-        s
-    in
+    let s = String.map (fun c -> if Serve.Protocol.session_id_char c then c else '-') s in
     let s = if s = "" then "cli" else s in
     String.sub s 0 (min 64 (String.length s))
   in

@@ -114,7 +114,6 @@ let create ?max_live ?(tolerant = false) () =
     forced = 0;
   }
 
-let saw_end t = t.ended
 let seen_events t = t.seen_events
 let live_events t = t.live
 
@@ -325,7 +324,10 @@ let on_sizes t (s : Codec.sizes) =
    | None -> ());
   t.sizes <- Some s;
   t.pending <- Array.init s.n_procs (fun _ -> Queue.create ());
-  t.frontier <- Array.init s.n_procs (fun _ -> Vclock.make s.n_procs);
+  (* every processor starts on one shared zero row, so the header costs
+     O(procs), not O(procs²): [process] copies a row before it mutates
+     it, and [t.frontier.(p) <- c] is the array's only writer *)
+  t.frontier <- Array.make s.n_procs (Vclock.make s.n_procs);
   t.minclock <- Array.make s.n_procs 0;
   t.minholders <- Array.make s.n_procs s.n_procs;
   t.held <- Array.init s.n_procs (fun _ -> Queue.create ());
@@ -498,19 +500,36 @@ let skeleton_analysis t trace =
   let partitions = Partition.compute augmented in
   { Postmortem.trace; hb; races; augmented; partitions; order = `Hb1; shb_extra = [] }
 
+(* End of input, shared by both finishes: the sizes (the batch decoder
+   accepts a sizes-less header as an empty trace; mirror it so both modes
+   agree on degenerate input), then the final drain, which releases the
+   acquires still waiting for so1 on batch-layout files. *)
+let close_input t =
+  let s =
+    match t.sizes with
+    | Some s -> s
+    | None ->
+      if t.seen_any then { Codec.n_procs = 0; n_locs = 0; n_events = 0 }
+      else failf "empty trace"
+  in
+  t.so1_complete <- true;
+  drain t;
+  s
+
+(* The analysis of what the engine holds.  Events still pending after the
+   final drain sit on an hb1 cycle; as long as nothing has been retired
+   every payload is still resident and the exact batch pipeline runs on
+   the rebuilt trace, [absent eid] standing for an id with no payload. *)
+let conclude t s ~so1 ~sync_order ~absent =
+  if t.pending_count = 0 then skeleton_analysis t (skeleton_trace t s ~so1 ~sync_order)
+  else if t.retired > 0 || t.forced > 0 then
+    failf "hb1 cycle encountered after %d events were retired; re-run without --stream"
+      (t.retired + t.forced)
+  else Postmortem.analyze ~so1:`Recorded (resident_trace t s ~absent ~so1 ~sync_order)
+
 let finish t =
   try
-    let s =
-      match t.sizes with
-      | Some s -> s
-      | None ->
-        (* the batch decoder accepts a sizes-less header as an empty
-           trace; mirror it so both modes agree on degenerate input *)
-        if t.seen_any then { Codec.n_procs = 0; n_locs = 0; n_events = 0 }
-        else failf "empty trace"
-    in
-    t.so1_complete <- true;
-    drain t;
+    let s = close_input t in
     if t.seen_events < s.n_events then begin
       let missing = ref 0 in
       (try
@@ -520,20 +539,12 @@ let finish t =
        with Exit -> ());
       failf "missing event %d (saw %d of %d)" !missing t.seen_events s.n_events
     end;
-    let so1 = List.rev t.so1_list and sync_order = List.rev t.sync_order in
+    (* every id was counted before a cycle is resolved, so a hole means the
+       engine's own bookkeeping went wrong — still report it as a decode
+       error, never abort the process *)
+    let absent eid = failf "event %d has no payload during the cyclic fallback" eid in
     let analysis =
-      if t.pending_count = 0 then
-        skeleton_analysis t (skeleton_trace t s ~so1 ~sync_order)
-      else if t.retired > 0 || t.forced > 0 then
-        failf
-          "hb1 cycle encountered after %d events were retired; re-run without --stream"
-          (t.retired + t.forced)
-      else
-        (* every id was counted before this path is taken, so a hole
-           means the engine's own bookkeeping went wrong — still report
-           it as a decode error, never abort the process *)
-        let absent eid = failf "event %d has no payload during the cyclic fallback" eid in
-        Postmortem.analyze ~so1:`Recorded (resident_trace t s ~absent ~so1 ~sync_order)
+      conclude t s ~so1:(List.rev t.so1_list) ~sync_order:(List.rev t.sync_order) ~absent
     in
     Ok (analysis, stats_of t)
   with Fail msg -> Error msg
@@ -581,13 +592,6 @@ let compute_gaps t (s : Codec.sizes) =
    but never under-reports them. *)
 let finish_salvaged t ~decode_losses =
   try
-    let s =
-      match t.sizes with
-      | Some s -> s
-      | None ->
-        if t.seen_any then { Codec.n_procs = 0; n_locs = 0; n_events = 0 }
-        else failf "empty trace"
-    in
     (* drop so1 edges with a lost endpoint before the final drain *)
     let dropped_so1 = ref 0 in
     let so1 =
@@ -610,8 +614,7 @@ let finish_salvaged t ~decode_losses =
             Hashtbl.replace t.so1_in a kept)
         acquires
     end;
-    t.so1_complete <- true;
-    drain t;
+    let s = close_input t in
     let missing_events = ref 0 in
     for eid = 0 to s.n_events - 1 do
       if t.ev_proc.(eid) < 0 then incr missing_events
@@ -636,19 +639,9 @@ let finish_salvaged t ~decode_losses =
         List.rev t.sync_order
         |> List.map (fun (l, es) -> (l, List.filter (fun e -> t.ev_proc.(e) >= 0) es))
       in
-      let analysis =
-        if t.pending_count = 0 then
-          skeleton_analysis t (skeleton_trace t s ~so1 ~sync_order)
-        else if t.retired > 0 || t.forced > 0 then
-          failf
-            "hb1 cycle among salvaged events after %d were retired; re-run without --stream"
-            (t.retired + t.forced)
-        else
-          (* survivors form an hb1 cycle: as in {!finish}, the batch
-             pipeline runs over survivors plus isolated stand-ins *)
-          Postmortem.analyze ~so1:`Recorded
-            (resident_trace t s ~absent:(stand_in t s) ~so1 ~sync_order)
-      in
+      (* survivors on an hb1 cycle run the batch pipeline with isolated
+         stand-ins for the lost ids *)
+      let analysis = conclude t s ~so1 ~sync_order ~absent:(stand_in t s) in
       Ok (Postmortem.Degraded { analysis; loss }, stats_of t)
   with Fail msg -> Error msg
 
@@ -739,24 +732,38 @@ type codec = Strict of Codec.decoder | Salvage of Codec.Salvage.t
 module Reader = struct
   type nonrec t = {
     engine : t;
-    salvage : bool;
     codec : codec;
     mutable offset : int;
+    mutable marks : int;
   }
 
+  let of_parts engine codec ~offset = { engine; codec; offset; marks = 0 }
+
   let create ?max_live ~salvage () =
-    {
-      engine = create ?max_live ~tolerant:salvage ();
-      salvage;
-      codec =
-        (if salvage then Salvage (Codec.Salvage.create ())
-         else Strict (Codec.decoder ()));
-      offset = 0;
-    }
+    of_parts
+      (create ?max_live ~tolerant:salvage ())
+      (if salvage then Salvage (Codec.Salvage.create ()) else Strict (Codec.decoder ()))
+      ~offset:0
 
   let engine r = r.engine
+  let codec r = r.codec
   let offset r = r.offset
-  let push_to r () record = push r.engine record
+  let marks r = r.marks
+  let salvage r = match r.codec with Salvage _ -> true | Strict _ -> false
+
+  let decoder r =
+    match r.codec with Strict d -> d | Salvage s -> Codec.Salvage.decoder s
+
+  (* v2 input ends with an epoch mark after the end record, and the
+     strict decoder refuses a v2 trace without it *)
+  let complete r =
+    r.engine.ended
+    && (Codec.decoder_version (decoder r) <> Codec.version_checksummed
+        || Codec.decoder_at_mark (decoder r))
+
+  let push_to r () record =
+    (match record with Codec.Mark _ -> r.marks <- r.marks + 1 | _ -> ());
+    push r.engine record
 
   let feed r chunk =
     let fed =
@@ -767,7 +774,7 @@ module Reader = struct
     if Result.is_ok fed then r.offset <- r.offset + String.length chunk;
     fed
 
-  let save r path = checkpoint path r.engine ~extra:(r.salvage, r.codec, r.offset)
+  let save r path = checkpoint path r.engine ~extra:(salvage r, r.codec, r.offset)
 
   let resume ~salvage path =
     match (restore path : (_ * (bool * codec * int), string) result) with
@@ -776,7 +783,7 @@ module Reader = struct
       Error
         (Printf.sprintf "%s: checkpoint was taken %s --salvage" path
            (if was_salvage then "with" else "without"))
-    | Ok (engine, (_, codec, offset)) -> Ok { engine; salvage; codec; offset }
+    | Ok (engine, (_, codec, offset)) -> Ok (of_parts engine codec ~offset)
 
   let close r =
     match r.codec with

@@ -67,10 +67,6 @@ val push : t -> Tracing.Codec.record -> (unit, string) result
     after its target was processed, records after the end marker) leave
     the engine unusable. *)
 
-val saw_end : t -> bool
-(** An ["end N"] record was consumed: the trace is complete.  Used by
-    [--follow] to stop tailing. *)
-
 val seen_events : t -> int
 
 val live_events : t -> int
@@ -126,10 +122,18 @@ val restore : ?kind:string -> string -> (t * 'a, string) result
 (** {1 Checkpointed reader}
 
     A decoder and an engine fed from one byte stream, with the byte
-    offset they have consumed, saved and resumed as one checkpoint —
-    the loop behind [analyze --stream/--follow/--checkpoint].  The
-    caller owns the input: it reads chunks, seeks to {!Reader.offset}
-    after a resume, and decides when to {!Reader.save}. *)
+    offset they have consumed, saved and resumed as one checkpoint.  It
+    is the loop behind [analyze --stream/--follow/--checkpoint],
+    faultfuzz's resume check and every [serve] session.  The caller owns
+    the input: it reads chunks, seeks to {!Reader.offset} after a
+    resume, asks {!Reader.complete} whether the trace has been fully
+    delivered, and decides when to {!Reader.save}. *)
+
+(** The decoder in front of a reader's engine.  {!Reader.save} marshals
+    it inside its [extra], so its shape and constructor order are part of
+    checkpoint format version 3. *)
+type codec = Strict of Tracing.Codec.decoder | Salvage of Tracing.Codec.Salvage.t
+
 module Reader : sig
   type stream := t
   type t
@@ -139,6 +143,10 @@ module Reader : sig
       with [salvage] the {!Tracing.Codec.Salvage} decoder into a
       tolerant one. *)
 
+  val of_parts : stream -> codec -> offset:int -> t
+  (** A reader over an engine and decoder restored from a checkpoint
+      in another layout (serve keeps its session id in its own). *)
+
   val feed : t -> string -> (unit, string) result
   (** Decode the next chunk and push its records; on success the offset
       advances by the chunk's length.  After an [Error] the reader is
@@ -147,7 +155,16 @@ module Reader : sig
   val offset : t -> int
   (** Input bytes consumed so far. *)
 
+  val marks : t -> int
+  (** v2 epoch marks pushed since this reader was created or resumed. *)
+
+  val complete : t -> bool
+  (** The end record has arrived, and for v2 input the final epoch mark
+      after it: the trace is fully delivered and {!close} needs no more
+      input. *)
+
   val engine : t -> stream
+  val codec : t -> codec
 
   val save : t -> string -> unit
   (** {!checkpoint} the engine with the salvage flag, decoder state and

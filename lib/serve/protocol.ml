@@ -6,16 +6,15 @@ type hello =
   | Metrics
   | Stop
 
+let session_id_char c =
+  (c >= 'a' && c <= 'z')
+  || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '.' || c = '_' || c = '-'
+
 let valid_session_id id =
   let n = String.length id in
-  n >= 1 && n <= 64
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z')
-         || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9')
-         || c = '.' || c = '_' || c = '-')
-       id
+  n >= 1 && n <= 64 && String.for_all session_id_char id
 
 let hello_line = function
   | Session id -> Printf.sprintf "%s %d session %s" magic version id

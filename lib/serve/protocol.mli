@@ -30,9 +30,12 @@ type hello =
   | Metrics            (** dump the plaintext metrics snapshot and close *)
   | Stop               (** ask the daemon to shut down gracefully *)
 
+val session_id_char : char -> bool
+(** [A-Za-z0-9._-]: the characters a session id may use. *)
+
 val valid_session_id : string -> bool
-(** 1–64 chars drawn from [A-Za-z0-9._-] — safe as a checkpoint file
-    name and unambiguous on the wire. *)
+(** 1–64 {!session_id_char}s — safe as a checkpoint file name and
+    unambiguous on the wire. *)
 
 val hello_line : hello -> string
 val parse_hello : string -> (hello, string) result

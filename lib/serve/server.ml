@@ -1,3 +1,5 @@
+module Reader = Racedetect.Stream.Reader
+
 type addr =
   | Unix_sock of string
   | Tcp of string * int
@@ -106,17 +108,13 @@ let ckpt_path sh id =
 
 (* -- per-connection state -------------------------------------------- *)
 
+(* A session is a salvage reader; the events and bytes it had consumed
+   at its last checkpoint are kept in its metrics row. *)
 type session = {
   id : string;
-  engine : Racedetect.Stream.t;
-  sal : Tracing.Codec.Salvage.t;
+  reader : Reader.t;
   row : row;
-  mutable consumed : int;
-  mutable events_at_ckpt : int;
-  mutable consumed_at_ckpt : int;
-  mutable marks_since_ckpt : int;
-  mutable marks_total : int;
-  mutable end_marked : bool;    (* v2: the post-end epoch mark arrived *)
+  mutable marks_at_ckpt : int; (* the reader's epoch marks at that checkpoint *)
   mutable last_live : int;
 }
 
@@ -137,23 +135,7 @@ type conn = {
 
 let now () = Unix.gettimeofday ()
 
-let push_record s () r =
-  (match r with
-   | Tracing.Codec.Mark _ ->
-     s.marks_since_ckpt <- s.marks_since_ckpt + 1;
-     s.marks_total <- s.marks_total + 1;
-     if Racedetect.Stream.saw_end s.engine then s.end_marked <- true
-   | _ -> ());
-  Racedetect.Stream.push s.engine r
-
-(* The trace is fully delivered once the end record — and, for v2
-   input, its final epoch mark — has been consumed; the server then
-   answers without waiting for the client to half-close. *)
-let complete s =
-  Racedetect.Stream.saw_end s.engine
-  && (s.end_marked
-      || Tracing.Codec.decoder_version (Tracing.Codec.Salvage.decoder s.sal)
-         <> Tracing.Codec.version_checksummed)
+let seen s = Racedetect.Stream.seen_events (Reader.engine s.reader)
 
 (* -- the shard loop -------------------------------------------------- *)
 
@@ -173,19 +155,25 @@ let queue_out c s =
     c.out <- c.out ^ s
   end
 
+(* The connection is done streaming: its session, if any, leaves the
+   active table and the gauges (a parked checkpoint stays on disk), and
+   only the queued output is left to drain. *)
+let release shard c =
+  (match c.phase with
+   | Streaming s ->
+     let sh = shard.sh in
+     Atomic.decr sh.metrics.Metrics.sessions_active;
+     ignore (Atomic.fetch_and_add sh.metrics.Metrics.live_events (-s.last_live));
+     locked sh (fun () ->
+         Hashtbl.remove sh.active s.id;
+         Hashtbl.remove sh.rows s.id)
+   | _ -> ());
+  c.phase <- Draining
+
 let close_conn shard c =
   if not c.closed then begin
     c.closed <- true;
-    (match c.phase with
-     | Streaming s ->
-       let sh = shard.sh in
-       Atomic.decr sh.metrics.Metrics.sessions_active;
-       ignore (Atomic.fetch_and_add sh.metrics.Metrics.live_events (-s.last_live));
-       locked sh (fun () ->
-           Hashtbl.remove sh.active s.id;
-           Hashtbl.remove sh.rows s.id)
-     | _ -> ());
-    c.phase <- Draining;
+    release shard c;
     (try Unix.close c.fd with Unix.Unix_error _ -> ())
   end
 
@@ -212,41 +200,39 @@ let flush_best_effort c =
 
 let update_counters shard s =
   let sh = shard.sh in
-  let seen = Racedetect.Stream.seen_events s.engine in
-  let live = Racedetect.Stream.live_events s.engine in
+  let seen = seen s in
+  let live = Racedetect.Stream.live_events (Reader.engine s.reader) in
   ignore (Atomic.fetch_and_add sh.metrics.Metrics.events_total (seen - s.row.r_events));
   ignore (Atomic.fetch_and_add sh.metrics.Metrics.live_events (live - s.last_live));
   s.last_live <- live;
   s.row.r_events <- seen;
   s.row.r_live <- live;
-  s.row.r_consumed <- s.consumed;
+  s.row.r_consumed <- Reader.offset s.reader;
   if sh.cfg.checkpoint_dir <> None then
-    Metrics.max_hwm sh.metrics.Metrics.ckpt_lag_hwm (seen - s.events_at_ckpt)
+    Metrics.max_hwm sh.metrics.Metrics.ckpt_lag_hwm (seen - s.row.r_ckpt_events)
 
 let save_checkpoint shard s =
-  match ckpt_path shard.sh s.id with
-  | None -> ()
-  | Some path ->
+  match (ckpt_path shard.sh s.id, Reader.codec s.reader) with
+  | Some path, Racedetect.Stream.Salvage sal ->
     let sh = shard.sh in
     (try
-       Racedetect.Stream.checkpoint ~kind:"serve" path s.engine
-         ~extra:((s.id, s.sal, s.consumed) : ckpt_extra);
-       s.events_at_ckpt <- Racedetect.Stream.seen_events s.engine;
-       s.consumed_at_ckpt <- s.consumed;
-       s.marks_since_ckpt <- 0;
-       s.row.r_ckpt_events <- s.events_at_ckpt;
-       s.row.r_ckpt_consumed <- s.consumed_at_ckpt;
+       Racedetect.Stream.checkpoint ~kind:"serve" path (Reader.engine s.reader)
+         ~extra:((s.id, sal, Reader.offset s.reader) : ckpt_extra);
+       s.row.r_ckpt_events <- seen s;
+       s.row.r_ckpt_consumed <- Reader.offset s.reader;
+       s.marks_at_ckpt <- Reader.marks s.reader;
        Atomic.incr sh.metrics.Metrics.checkpoints
      with Sys_error msg ->
        sh.cfg.log (Printf.sprintf "session %s: checkpoint failed: %s" s.id msg))
+  | _ -> () (* no checkpoint dir; sessions are always salvage readers *)
 
 let maybe_checkpoint shard s =
   if shard.sh.cfg.checkpoint_dir <> None then begin
-    let since = Racedetect.Stream.seen_events s.engine - s.events_at_ckpt in
+    let marks = Reader.marks s.reader in
     (* align to epoch marks when the input has them (v2); fall back to a
        raw event quota for v1 streams *)
-    if since >= shard.sh.cfg.checkpoint_every
-       && (s.marks_since_ckpt > 0 || s.marks_total = 0)
+    if seen s - s.row.r_ckpt_events >= shard.sh.cfg.checkpoint_every
+       && (marks > s.marks_at_ckpt || marks = 0)
     then save_checkpoint shard s
   end
 
@@ -280,28 +266,13 @@ let respond shard c (o : Protocol.outcome) =
     (Printf.sprintf "%s\nreport %d\n%s" (Protocol.verdict_line o)
        (String.length report) report);
   count_outcome shard.sh o;
-  (match c.phase with
-   | Streaming s ->
-     let sh = shard.sh in
-     Atomic.decr sh.metrics.Metrics.sessions_active;
-     ignore (Atomic.fetch_and_add sh.metrics.Metrics.live_events (-s.last_live));
-     locked sh (fun () ->
-         Hashtbl.remove sh.active s.id;
-         Hashtbl.remove sh.rows s.id)
-   | _ -> ());
-  c.phase <- Draining
+  release shard c
 
 (* Run the final analysis, under the shard's wall-clock budget when one
    is configured — a wedged finish burns an abandoned domain, not the
    shard. *)
 let finish_session shard c s =
-  let work () =
-    match Tracing.Codec.Salvage.finish_feed s.sal ~f:(push_record s) () with
-    | Error m -> Error m
-    | Ok () ->
-      Racedetect.Stream.finish_salvaged s.engine
-        ~decode_losses:(Tracing.Codec.Salvage.losses s.sal)
-  in
+  let work () = Reader.close s.reader in
   let outcome =
     match
       if shard.sh.cfg.finish_timeout > 0. then
@@ -313,7 +284,7 @@ let finish_session shard c s =
        not be touched again *)
     | Ok (Ok (v, _stats)) ->
       update_counters shard s;
-      Protocol.Analyzed (v, Racedetect.Stream.seen_events s.engine)
+      Protocol.Analyzed (v, seen s)
     | Ok (Error msg) ->
       update_counters shard s;
       Protocol.Failed msg
@@ -352,58 +323,42 @@ let start_session shard c id =
       match locked sh (fun () -> Hashtbl.find_opt sh.parked id) with
       | None -> None
       | Some path ->
+        let fresh why =
+          sh.cfg.log (Printf.sprintf "session %s: %s; starting fresh" id why);
+          (try Sys.remove path with Sys_error _ -> ());
+          locked sh (fun () -> Hashtbl.remove sh.parked id);
+          None
+        in
         (match
            (Racedetect.Stream.restore ~kind:"serve" path
              : (Racedetect.Stream.t * ckpt_extra, string) result)
          with
          | Ok (engine, (id', sal, consumed)) when id' = id ->
-           Some (engine, sal, consumed, path)
-         | Ok _ ->
-           sh.cfg.log
-             (Printf.sprintf "session %s: checkpoint %s names another session; starting fresh"
-                id path);
-           (try Sys.remove path with Sys_error _ -> ());
-           locked sh (fun () -> Hashtbl.remove sh.parked id);
-           None
-         | Error msg ->
-           sh.cfg.log (Printf.sprintf "session %s: %s; starting fresh" id msg);
-           (try Sys.remove path with Sys_error _ -> ());
-           locked sh (fun () -> Hashtbl.remove sh.parked id);
-           None)
+           Some (Reader.of_parts engine (Racedetect.Stream.Salvage sal) ~offset:consumed)
+         | Ok _ -> fresh (Printf.sprintf "checkpoint %s names another session" path)
+         | Error msg -> fresh msg)
     in
-    let engine, sal, consumed, resumed =
+    let reader =
       match adopt with
-      | Some (engine, sal, consumed, _path) -> (engine, sal, consumed, true)
-      | None ->
-        ( Racedetect.Stream.create ?max_live:sh.cfg.session_max_live ~tolerant:true (),
-          Tracing.Codec.Salvage.create (), 0, false )
+      | Some r -> r
+      | None -> Reader.create ?max_live:sh.cfg.session_max_live ~salvage:true ()
     in
+    let resumed = Option.is_some adopt in
+    let events = Racedetect.Stream.seen_events (Reader.engine reader) in
+    let live = Racedetect.Stream.live_events (Reader.engine reader) in
+    let consumed = Reader.offset reader in
     let row =
       {
         r_id = id;
         r_shard = shard.index;
-        r_events = Racedetect.Stream.seen_events engine;
-        r_live = Racedetect.Stream.live_events engine;
+        r_events = events;
+        r_live = live;
         r_consumed = consumed;
-        r_ckpt_events = Racedetect.Stream.seen_events engine;
+        r_ckpt_events = events;
         r_ckpt_consumed = consumed;
       }
     in
-    let s =
-      {
-        id;
-        engine;
-        sal;
-        row;
-        consumed;
-        events_at_ckpt = Racedetect.Stream.seen_events engine;
-        consumed_at_ckpt = consumed;
-        marks_since_ckpt = 0;
-        marks_total = 0;
-        end_marked = false;
-        last_live = Racedetect.Stream.live_events engine;
-      }
-    in
+    let s = { id; reader; row; marks_at_ckpt = 0; last_live = live } in
     locked sh (fun () ->
         Hashtbl.replace sh.active id ();
         Hashtbl.replace sh.rows id row);
@@ -444,15 +399,16 @@ let metrics_snapshot sh =
 let feed_session shard c s data =
   let sh = shard.sh in
   ignore (Atomic.fetch_and_add sh.metrics.Metrics.bytes_in (String.length data));
-  match Tracing.Codec.Salvage.feed s.sal data ~f:(push_record s) () with
+  match Reader.feed s.reader data with
   | Error msg ->
     update_counters shard s;
     respond shard c (Protocol.Failed msg)
   | Ok () ->
-    s.consumed <- s.consumed + String.length data;
     update_counters shard s;
     maybe_checkpoint shard s;
-    if complete s then finish_session shard c s
+    (* the trace is fully delivered: answer without waiting for the
+       client to half-close *)
+    if Reader.complete s.reader then finish_session shard c s
 
 let handle_hello shard c line rest =
   match Protocol.parse_hello line with
@@ -611,13 +567,7 @@ let shutdown_shard shard =
            if shard.sh.cfg.checkpoint_dir <> None then begin
              park shard s;
              (* parked, not aborted: the client resumes after restart *)
-             let sh = shard.sh in
-             Atomic.decr sh.metrics.Metrics.sessions_active;
-             ignore (Atomic.fetch_and_add sh.metrics.Metrics.live_events (-s.last_live));
-             locked sh (fun () ->
-                 Hashtbl.remove sh.active s.id;
-                 Hashtbl.remove sh.rows s.id);
-             c.phase <- Draining
+             release shard c
            end
            else abort_session shard c s ~park_it:false "shutdown"
          | _ -> ());

@@ -264,6 +264,7 @@ let decoder () = make_decoder ~verify_epochs:true
 
 let decoder_sizes d = d.dsizes
 let decoder_version d = d.fversion
+let decoder_at_mark d = d.last_mark
 
 (* A v2 line ends in " ~XXXXXXXX": one space, a tilde, eight hex digits
    of CRC-32 over everything before the space. *)

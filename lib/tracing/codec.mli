@@ -114,6 +114,10 @@ val decoder_sizes : decoder -> sizes option
 val decoder_version : decoder -> int
 (** Format version from the magic line ({!version} until it is read). *)
 
+val decoder_at_mark : decoder -> bool
+(** The last record decoded was an epoch mark (a complete v2 trace ends
+    on one). *)
+
 val feed :
   decoder -> string -> f:('a -> record -> ('a, string) result) -> 'a ->
   ('a, string) result

@@ -597,6 +597,59 @@ let test_checkpoint_resume_byte_identical () =
             | Error e -> Alcotest.failf "cut %d: resumed finish failed: %s" cut e))
     [ 0; 17; len / 3; len / 2; len - 1; len ]
 
+(* A follower stops once the reader says the trace is complete: after
+   the end record, and on v2 input only after the epoch mark that
+   follows it, since the strict decoder refuses a v2 trace without it. *)
+let test_reader_complete () =
+  let t =
+    Tracing.Trace.of_execution
+      (Minilang.Interp.run ~model:Memsim.Model.WO
+         ~sched:(Memsim.Sched.random ~seed:1)
+         (Option.get (Minilang.Programs.find "queue_bug")))
+  in
+  let batch = report_of (batch_of_text (Tracing.Codec.encode t)) in
+  List.iter
+    (fun (version, salvage) ->
+      let label = Printf.sprintf "v%d%s" version (if salvage then " salvage" else "") in
+      let text = Tracing.Codec.encode_stream ~version t in
+      (* the cut falls right after the end record's line *)
+      let cut =
+        let rec find i =
+          if String.sub text i 4 = "end " then String.index_from text i '\n' + 1
+          else find (String.index_from text i '\n' + 1)
+        in
+        find 0
+      in
+      let r = Stream.Reader.create ~salvage () in
+      let feed chunk =
+        match Stream.Reader.feed r chunk with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: feed failed: %s" label e
+      in
+      feed (String.sub text 0 cut);
+      Alcotest.(check bool)
+        (label ^ ": complete at the end record")
+        (version <> Tracing.Codec.version_checksummed)
+        (Stream.Reader.complete r);
+      feed (String.sub text cut (String.length text - cut));
+      Alcotest.(check bool) (label ^ ": complete after the rest") true
+        (Stream.Reader.complete r);
+      with_ckpt (fun path ->
+          Stream.Reader.save r path;
+          match Stream.Reader.resume ~salvage path with
+          | Ok resumed ->
+            Alcotest.(check bool) (label ^ ": complete after a resume") true
+              (Stream.Reader.complete resumed)
+          | Error e -> Alcotest.failf "%s: resume failed: %s" label e);
+      match Stream.Reader.close r with
+      | Ok (v, _) ->
+        Alcotest.(check string) (label ^ ": report") batch
+          (report_of (Postmortem.verdict_analysis v))
+      | Error e -> Alcotest.failf "%s: close failed: %s" label e)
+    [ (Tracing.Codec.version, false);
+      (Tracing.Codec.version_checksummed, false);
+      (Tracing.Codec.version_checksummed, true) ]
+
 let test_checkpoint_rejects_corruption () =
   let t = Tracing.Trace.of_execution (random_exec (7, 1)) in
   let text = Tracing.Codec.encode_stream t in
@@ -713,5 +766,10 @@ let () =
             test_checkpoint_resume_byte_identical;
           Alcotest.test_case "rejects corruption" `Quick
             test_checkpoint_rejects_corruption;
+        ] );
+      ( "reader",
+        [
+          Alcotest.test_case "complete after the final mark" `Quick
+            test_reader_complete;
         ] );
     ]
